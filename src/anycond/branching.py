@@ -157,6 +157,32 @@ def is_lagrangian(b: BranchingData, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.all(b.vacuum_column > 0)) and abs(lam - total_dim_sq(b.source)) <= tol
 
 
+def dimension_violations(b: BranchingData, lam: float, tol: float = DEFAULT_TOL) -> list[Violation]:
+    """The two quantum-dimension constraints, each summed as one matrix-vector
+    product; one violation per sector that breaks it.
+
+    ``dim-restriction`` names a source sector a with sum_t n[a, t] * d_t
+    != d_a, ``dim-lift`` a condensed sector t with sum_a n[a, t] * d_a
+    != lam * d_t.  Together they make both channels stochastic.
+    """
+    rows = (b.n @ b.condensed_dims).tolist()
+    cols = (b.n.T @ b.source_dims).tolist()
+    # Scanning the sums as Python floats is faster than more numpy calls
+    # for the few sectors of a typical system.
+    return [
+        Violation("dim-restriction", f"sector {label!r}: sum_t n*d_t = {r!r} != d_a = {d!r}")
+        for label, r, d in zip(b.source.labels, rows, b.source.dims)
+        if abs(r - d) > tol
+    ] + [
+        Violation(
+            "dim-lift",
+            f"condensed sector {label!r}: sum_a n*d_a = {c!r} != lam*d_t = {lam * d!r}",
+        )
+        for label, c, d in zip(b.condensed.labels, cols, b.condensed.dims)
+        if abs(c - lam * d) > tol
+    ]
+
+
 def validate_branching(b: BranchingData, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check every branching invariant; empty report means condensable.
 
@@ -171,8 +197,6 @@ def validate_branching(b: BranchingData, tol: float = DEFAULT_TOL) -> Validation
         sub = validate_system(system, tol)
         bad.extend(Violation(f"{prefix}:{v.rule}", v.detail) for v in sub.violations)
 
-    d_a = b.source_dims
-    d_t = b.condensed_dims
     phi = b.vacuum_column_index
     lam = jones_index(b)
 
@@ -184,27 +208,7 @@ def validate_branching(b: BranchingData, tol: float = DEFAULT_TOL) -> Validation
             Violation("vacuum-row", "source vacuum must restrict to the condensed vacuum alone")
         )
 
-    row_sums = b.n @ d_t
-    for i, label in enumerate(b.source.labels):
-        if abs(row_sums[i] - d_a[i]) > tol:
-            bad.append(
-                Violation(
-                    "dim-restriction",
-                    f"sector {label!r}: sum_t n*d_t = {float(row_sums[i])!r} "
-                    f"!= d_a = {float(d_a[i])!r}",
-                )
-            )
-
-    col_sums = b.n.T @ d_a
-    for j, label in enumerate(b.condensed.labels):
-        if abs(col_sums[j] - lam * d_t[j]) > tol:
-            bad.append(
-                Violation(
-                    "dim-lift",
-                    f"condensed sector {label!r}: sum_a n*d_a = {float(col_sums[j])!r} "
-                    f"!= lam*d_t = {float(lam * d_t[j])!r}",
-                )
-            )
+    bad.extend(dimension_violations(b, lam, tol))
 
     for j, label in enumerate(b.condensed.labels):
         if not np.any(b.n[:, j]):

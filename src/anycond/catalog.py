@@ -193,17 +193,12 @@ def _toric_goldens() -> tuple[GoldenValue, ...]:
 
 
 def _toric_1z_goldens() -> tuple[GoldenValue, ...]:
-    # Image of the 1 + Y table under the Y <-> Z relabelling.
-    golden = [
-        _g(("1/2", 0, 0, "1/2"), *_ZERO),
-        _g(("1/2", "1/2", 0, 0), 1, 2),
-    ]
-    third = _F(1, 3)
-    for zero_at in range(4):
-        probs = [third] * 4
-        probs[zero_at] = _F(0)
-        golden.append(_g(probs, _F(1, 3), 2))
-    return tuple(golden)
+    # The 1 + Y table under the Y <-> Z relabelling, the duality between the
+    # two patterns: position k of a relabelled state reads position swap[k].
+    swap = (0, 3, 2, 1)
+    return tuple(
+        GoldenValue(tuple(g.probs[i] for i in swap), g.coeff, g.log_of) for g in _toric_goldens()
+    )
 
 
 def _rep_s3_1x_goldens() -> tuple[GoldenValue, ...]:

@@ -12,6 +12,12 @@ constraints.  Their composition lift(restrict(rho)) is the condensed-and-
 lifted image of rho; it can equivalently be computed in one step from the
 overlap matrix n @ n.T (:func:`lift_coarse`).
 
+A branching is compiled once (:func:`condensation`) into the two
+row-stochastic matrices of these channels.  Every channel is a product of
+rows of probabilities with them, on a single state or on a stack of states
+at once; the public functions taking :class:`SectorState` are that product
+on one row, validated at the boundary.
+
 The same channels are realised as explicit Kraus matrices on the block
 space spanned by the source and condensed labels together, and the module
 ships executable verifications of the projector property of the restriction
@@ -28,12 +34,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branching import BranchingData, jones_index, overlap_matrix
+from .branching import BranchingData, dimension_violations, jones_index
 from .systems import AnyonSystem
 
 
 class SystemMismatchError(ValueError):
     """A state or operator is indexed by a different system than required."""
+
+
+def check_probs(p: np.ndarray) -> None:
+    """Boundary check of one probability vector or a stack of them (rows):
+    finite, non-negative, each summing to one within ``1e-9``."""
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probabilities must be finite")
+    if np.any(p < 0):
+        raise ValueError(f"negative probability: min entry {p.min()!r}")
+    sums = p.sum(axis=-1)
+    off = np.abs(sums - 1.0) > 1e-9
+    if np.any(off):
+        raise ValueError(f"probabilities sum to {sums[off][0]!r}, not 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,12 +70,7 @@ class SectorState:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (len(self.system),):
             raise ValueError(f"expected {len(self.system)} probabilities, got shape {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("probabilities must be finite")
-        if np.any(p < 0):
-            raise ValueError(f"negative probability: min entry {p.min()!r}")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
+        check_probs(p)
         p = p.copy()
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
@@ -68,6 +82,16 @@ class SectorState:
 
     def prob_of(self, label: str) -> float:
         return float(self.probs[self.system.index(label)])
+
+
+def _channel_output(system: AnyonSystem, probs: np.ndarray) -> SectorState:
+    # A stochastic matrix maps a checked state to a state, so the output of
+    # a compiled channel skips the boundary check.
+    state = object.__new__(SectorState)
+    probs.setflags(write=False)
+    object.__setattr__(state, "system", system)
+    object.__setattr__(state, "probs", probs)
+    return state
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +112,78 @@ class DiagonalOperator:
         object.__setattr__(self, "coeffs", c)
 
 
+def _rows_times(p: np.ndarray, m: np.ndarray) -> np.ndarray:
+    # p @ m for one row or a stack of rows.  einsum adds the products of
+    # each entry in the same order whatever the number of rows; BLAS picks
+    # other kernels (and roundings) for one row, a few rows and many, so a
+    # chunked evaluation would not reproduce an unchunked one bit for bit.
+    return np.einsum("...i,ij->...j", p, m)
+
+
+@dataclass(frozen=True, eq=False)
+class Condensation:
+    """A branching compiled into the matrices of its channels.
+
+    Rows of probabilities multiply from the left: ``restriction[a, t] =
+    n[a, t] * d_t / d_a`` and ``lifting[t, a] = n[a, t] * d_a / (lam * d_t)``.
+    The coarse form of their product uses the overlap matrix M = n @ n.T
+    instead, applied as ``n`` then ``n.T`` so that no n_source x n_source
+    array is formed.  Built by :func:`condensation` only, which checks that
+    both channel matrices are stochastic.
+    """
+
+    lam: float
+    source_dims: np.ndarray
+    restriction: np.ndarray
+    lifting: np.ndarray
+    n: np.ndarray
+
+    def restrict(self, p: np.ndarray) -> np.ndarray:
+        return _rows_times(p, self.restriction)
+
+    def lift(self, sigma: np.ndarray) -> np.ndarray:
+        return _rows_times(sigma, self.lifting)
+
+    def round_trip(self, p: np.ndarray) -> np.ndarray:
+        return self.lift(self.restrict(p))
+
+    def lift_coarse(self, p: np.ndarray) -> np.ndarray:
+        """p~_a = (1/lam) sum_b M[a, b] * (d_a / d_b) * p_b."""
+        d = self.source_dims
+        return d / self.lam * _rows_times(_rows_times(p / d, self.n), self.n.T)
+
+
+def condensation(b: BranchingData) -> Condensation:
+    """The compiled form of ``b``, built on first use and kept on ``b``.
+
+    Keeping it is safe because ``n`` and both systems are read-only.  Raises
+    ``ValueError`` naming the rule (``dim-restriction`` or ``dim-lift``) and
+    the sector when a quantum-dimension constraint fails, since the channels
+    would then not preserve probability.
+    """
+    compiled = b.__dict__.get("_condensation")
+    if compiled is not None:
+        return compiled
+    lam = jones_index(b)
+    bad = dimension_violations(b, lam)
+    if bad:
+        raise ValueError(
+            "branching is not condensable: " + "; ".join(f"{v.rule}: {v.detail}" for v in bad)
+        )
+    d_a, d_t = b.source_dims, b.condensed_dims
+    arrays = (
+        d_a,
+        b.n * d_t / d_a[:, None],
+        (b.n * d_a[:, None] / d_t).T / lam,
+        b.n.astype(float),
+    )
+    for a in arrays:
+        a.setflags(write=False)
+    compiled = Condensation(lam, *arrays)
+    object.__setattr__(b, "_condensation", compiled)
+    return compiled
+
+
 def _require_source(b: BranchingData, rho: SectorState):
     if rho.system != b.source:
         raise SystemMismatchError("state is not indexed by the source system")
@@ -101,16 +197,13 @@ def _require_condensed(b: BranchingData, sigma: SectorState):
 def restrict(b: BranchingData, rho: SectorState) -> SectorState:
     """Condense a source state: p_t = sum_a n[a, t] * (d_t / d_a) * p_a."""
     _require_source(b, rho)
-    p_t = b.condensed_dims * (b.n.T @ (rho.probs / b.source_dims))
-    return SectorState(b.condensed, p_t)
+    return _channel_output(b.condensed, condensation(b).restrict(rho.probs))
 
 
 def lift(b: BranchingData, sigma: SectorState) -> SectorState:
     """Lift a condensed state back: p_a = (1/lam) sum_t n[a, t] * (d_a / d_t) * p_t."""
     _require_condensed(b, sigma)
-    lam = jones_index(b)
-    p_a = b.source_dims / lam * (b.n @ (sigma.probs / b.condensed_dims))
-    return SectorState(b.source, p_a)
+    return _channel_output(b.source, condensation(b).lift(sigma.probs))
 
 
 def round_trip(b: BranchingData, rho: SectorState) -> SectorState:
@@ -124,10 +217,7 @@ def lift_coarse(b: BranchingData, rho: SectorState) -> SectorState:
     p_a = (1/lam) sum_b M[a, b] * (d_a / d_b) * p_b.
     """
     _require_source(b, rho)
-    lam = jones_index(b)
-    d = b.source_dims
-    p_a = d / lam * (overlap_matrix(b) @ (rho.probs / d))
-    return SectorState(b.source, p_a)
+    return _channel_output(b.source, condensation(b).lift_coarse(rho.probs))
 
 
 # ---------------------------------------------------------------------------
@@ -171,39 +261,31 @@ class KrausSet:
         return out
 
 
+def _kraus_operators(b: BranchingData, dim: int, entries) -> tuple[np.ndarray, ...]:
+    """One read-only matrix per source sector from ``(sector, row, column,
+    weight)`` entries of the compiled channels; each weight enters as its
+    square root."""
+    ops = np.zeros((len(b.source), dim, dim), dtype=complex)
+    for i, row, col, weight in entries:
+        ops[i, row, col] = np.sqrt(weight)
+    ops.setflags(write=False)
+    return tuple(ops)
+
+
 def kraus_restriction(b: BranchingData) -> KrausSet:
     """One matrix per source sector a, with entry sqrt(n[a,t] * d_t / d_a)
     sending basis vector a to basis vector t."""
-    na, nt = len(b.source), len(b.condensed)
-    dim = na + nt
-    ops = []
-    for i in range(na):
-        k = np.zeros((dim, dim), dtype=complex)
-        for j in range(nt):
-            if b.n[i, j]:
-                k[na + j, i] = np.sqrt(b.n[i, j] * b.condensed_dims[j] / b.source_dims[i])
-        k.setflags(write=False)
-        ops.append(k)
-    return KrausSet(b, tuple(ops), "restriction")
+    r, na = condensation(b).restriction, len(b.source)
+    entries = ((i, na + j, i, r[i, j]) for i, j in zip(*np.nonzero(b.n)))
+    return KrausSet(b, _kraus_operators(b, na + len(b.condensed), entries), "restriction")
 
 
 def kraus_lifting(b: BranchingData) -> KrausSet:
     """One matrix per source sector a, with entry
     sqrt(n[a,t] * d_a / (lam * d_t)) sending basis vector t to basis vector a."""
-    na, nt = len(b.source), len(b.condensed)
-    lam = jones_index(b)
-    dim = na + nt
-    ops = []
-    for i in range(na):
-        k = np.zeros((dim, dim), dtype=complex)
-        for j in range(nt):
-            if b.n[i, j]:
-                k[i, na + j] = np.sqrt(
-                    b.n[i, j] / lam * b.source_dims[i] / b.condensed_dims[j]
-                )
-        k.setflags(write=False)
-        ops.append(k)
-    return KrausSet(b, tuple(ops), "lifting")
+    lifting, na = condensation(b).lifting, len(b.source)
+    entries = ((i, i, na + j, lifting[j, i]) for i, j in zip(*np.nonzero(b.n)))
+    return KrausSet(b, _kraus_operators(b, na + len(b.condensed), entries), "lifting")
 
 
 def embed_source(b: BranchingData, rho: SectorState) -> np.ndarray:
@@ -296,7 +378,7 @@ def _channel_basis(b: BranchingData) -> list[tuple[int, int]]:
     return edges
 
 
-def _channel_restriction_kraus(b: BranchingData) -> list[np.ndarray]:
+def _channel_restriction_kraus(b: BranchingData) -> tuple[np.ndarray, ...]:
     """Restriction Kraus matrices on the channel-resolved basis.
 
     The basis lists every channel copy first, then one vector per condensed
@@ -304,17 +386,10 @@ def _channel_restriction_kraus(b: BranchingData) -> list[np.ndarray]:
     (a, t, copy) to the condensed vector t; summing the n[a, t] copies
     reproduces the weight n[a, t] * d_t / d_a of the label-level channel.
     """
-    edges = _channel_basis(b)
-    ne, nt = len(edges), len(b.condensed)
-    dim = ne + nt
-    ops = []
-    for i in range(len(b.source)):
-        k = np.zeros((dim, dim), dtype=complex)
-        for e, (ia, j) in enumerate(edges):
-            if ia == i:
-                k[ne + j, e] = np.sqrt(b.condensed_dims[j] / b.source_dims[i])
-        ops.append(k)
-    return ops
+    r, edges = condensation(b).restriction, _channel_basis(b)
+    ne = len(edges)
+    entries = ((i, ne + j, e, r[i, j] / b.n[i, j]) for e, (i, j) in enumerate(edges))
+    return _kraus_operators(b, ne + len(b.condensed), entries)
 
 
 def verify_bimodule(
@@ -350,8 +425,7 @@ def verify_bimodule(
     for k in _channel_restriction_kraus(b):
         out += k @ sandwich @ k.conj().T
 
-    m_t = b.condensed_dims * (b.n.T @ (m.coeffs / b.source_dims))
-    want = p.coeffs * m_t * q.coeffs
+    want = p.coeffs * condensation(b).restrict(m.coeffs) * q.coeffs
 
     got = np.diag(out)[ne:].real
     residual = float(np.max(np.abs(got - want)))

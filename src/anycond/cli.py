@@ -2,17 +2,21 @@
 
 Subcommands: validate, condense, entropy, sweep, enumerate, duality,
 catalog.  Outputs are JSON (reports) or CSV (sweeps), written to stdout or
-to --output.  Exit codes: 0 success, 1 domain failure (validation or bound
-violation), 2 usage or I/O trouble.
+to --output; sweeps stream their rows as they are computed.  Exit codes:
+0 success, 1 domain failure (validation or bound violation), 2 usage or
+I/O trouble, including a reader that closed the output pipe early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb
 from pathlib import Path
 
@@ -23,17 +27,21 @@ from .branching import BranchingData, CondensableAlgebra, validate_branching
 from .catalog import catalog, entry
 from .channels import (
     SectorState,
+    check_probs,
     lift_coarse,
     restrict,
     round_trip,
     verify_idempotence,
 )
 from .duality import find_dualities, verify_duality
-from .entropy import order_parameter
+from .entropy import order_parameter, order_parameter_rows
 from .search import enumerate_branchings
 from .systems import AnyonSystem, validate_system
 
 GRID_POINT_CAP = 10**7
+# Grid points evaluated, and CSV rows written, per step of a sweep; memory
+# stays flat in the grid size.
+SWEEP_CHUNK = 1024
 
 
 @dataclass
@@ -81,18 +89,29 @@ def _load_branching(args) -> BranchingData:
 
 def _load_state(args, system: AnyonSystem) -> SectorState:
     if getattr(args, "state", None):
-        return _parse_state_csv(args.state, system)
-    if getattr(args, "state_file", None):
+        rho = _parse_state_csv(args.state, system)
+    elif getattr(args, "state_file", None):
         data = json.loads(Path(args.state_file).read_text(encoding="utf-8"))
-        return cio.state_from_dict(data, system)
-    raise UsageError("provide --state P1,P2,... or --state-file FILE")
+        rho = cio.state_from_dict(data, system)
+    else:
+        raise UsageError("provide --state P1,P2,... or --state-file FILE")
+    # A state may sum to 1 +- 1e-9; left so, its order parameter can exceed
+    # log(lam) by that slack, which the bound check would then read as real.
+    return SectorState(system, rho.probs / rho.probs.sum())
+
+
+@contextmanager
+def _output(cfg: CliConfig):
+    if cfg.output_path:
+        with open(cfg.output_path, "w", encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield sys.stdout
 
 
 def _emit(text: str, cfg: CliConfig):
-    if cfg.output_path:
-        Path(cfg.output_path).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    with _output(cfg) as out:
+        out.write(text + "\n")
 
 
 def _emit_json(payload, cfg: CliConfig):
@@ -157,7 +176,7 @@ def cmd_entropy(args, cfg: CliConfig) -> int:
     rho = _load_state(args, b.source)
     report = order_parameter(b, rho, bits=cfg.bits)
     _emit_json(report.as_dict(labels=b.source.labels), cfg)
-    if report.order_parameter > report.bound + 1e-9:
+    if report.order_parameter > report.bound + cfg.tolerance:
         return 1
     return 0
 
@@ -188,26 +207,21 @@ def cmd_sweep(args, cfg: CliConfig) -> int:
             f"grid of {points} points exceeds the cap of {GRID_POINT_CAP}; lower --grid-resolution"
         )
     header = ",".join([f"p_{label}" for label in b.source.labels] + ["S", "bound", "residual"])
-    lines = [header]
-    best = (-1.0, None)
-    bound = 0.0
-    for combo in _simplex_grid(parts, r):
-        probs = [k / r for k in combo]
-        report = order_parameter(b, SectorState(b.source, probs), bits=cfg.bits)
-        bound = report.bound
-        value = report.order_parameter
-        lines.append(
-            ",".join(
-                [f"{p!r}" for p in probs]
-                + [f"{value!r}", f"{report.bound!r}", f"{report.formula_residual!r}"]
-            )
-        )
-        if value > best[0]:
-            best = (value, probs)
-    argmax = "|".join(repr(p) for p in best[1])
-    lines.append(f"# max_S={best[0]!r} argmax={argmax} bound={bound!r}")
-    _emit("\n".join(lines), cfg)
-    if best[0] > bound + 1e-9:
+    grid = _simplex_grid(parts, r)
+    best, argmax = -1.0, None
+    with _output(cfg) as out:
+        out.write(header + "\n")
+        while chunk := list(islice(grid, SWEEP_CHUNK)):
+            probs = np.array(chunk, dtype=float) / r
+            check_probs(probs)
+            values, _, residuals, bound = order_parameter_rows(b, probs, bits=cfg.bits)
+            top = int(np.argmax(values))
+            if values[top] > best:  # strict: the first maximum wins ties
+                best, argmax = float(values[top]), probs[top].tolist()
+            table = np.column_stack([probs, values, np.full(len(values), bound), residuals])
+            out.write("".join(",".join(map(repr, row)) + "\n" for row in table.tolist()))
+        out.write(f"# max_S={best!r} argmax={'|'.join(map(repr, argmax))} bound={bound!r}\n")
+    if best > bound + cfg.tolerance:
         return 1
     return 0
 
@@ -371,7 +385,16 @@ def main(argv=None) -> int:
         seed=args.seed,
     )
     try:
-        return args.func(args, cfg)
+        code = args.func(args, cfg)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (``anycond sweep ... | head``).  Point
+        # stdout at devnull so the flush at interpreter exit does not fail
+        # again; see "Note on SIGPIPE" in the documentation of ``signal``.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 2
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,8 +12,12 @@ coarse form reads
 
     log(lam) - H(p) - sum_a p_a * log( sum_b M[a, b] * (d_a / d_b) * p_b )
 
-with M the overlap matrix and H the Shannon entropy; the two evaluations
-are compared in every report and their gap recorded as a residual.
+with M the overlap matrix and H the Shannon entropy.  For a normalised
+state it is the relative entropy between rho and the one-step round trip
+:func:`~anycond.channels.lift_coarse`, which is how it is evaluated; the
+two evaluations are compared in every report and their gap recorded as a
+residual.  :func:`order_parameter_rows` evaluates a whole stack of states
+at once, and :func:`order_parameter` is its one-state case.
 
 Logarithms are natural by default; pass ``bits=True`` to report in base 2.
 """
@@ -26,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .branching import BranchingData, jones_index, overlap_matrix
-from .channels import SectorState, _require_source, round_trip
+from .branching import BranchingData
+from .channels import SectorState, _require_source, check_probs, condensation
 from .systems import AnyonSystem
 
 LN2 = math.log(2.0)
@@ -85,6 +89,30 @@ class EntropyReport:
         }
 
 
+def _terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # p_a * log(p_a / q_a) entrywise, with 0 log 0 = 0.
+    ratio = np.divide(p, q, out=np.ones_like(p), where=p > 0)
+    return p * np.log(ratio)
+
+
+def order_parameter_rows(
+    b: BranchingData, p: np.ndarray, bits: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Order parameter of every row of ``p``, shape (k, n_source) or one row.
+
+    The rows must already have passed :func:`~anycond.channels.check_probs`.
+    Returns the values, the per-sector terms (same shape as ``p``), the
+    coarse-formula residuals and the bound log(lam), all in the requested
+    base.  Each row's results do not depend on the other rows.
+    """
+    c = condensation(b)
+    per = _terms(p, c.round_trip(p))
+    direct = per.sum(axis=-1)
+    coarse = _terms(p, c.lift_coarse(p)).sum(axis=-1)
+    scale = 1.0 / LN2 if bits else 1.0
+    return direct * scale, per * scale, np.abs(direct - coarse) * scale, math.log(c.lam) * scale
+
+
 def order_parameter(b: BranchingData, rho: SectorState, bits: bool = False) -> EntropyReport:
     """Relative entropy between ``rho`` and its round trip, with diagnostics.
 
@@ -92,29 +120,12 @@ def order_parameter(b: BranchingData, rho: SectorState, bits: bool = False) -> E
     least one condensed sector, which feeds it back under lifting.
     """
     _require_source(b, rho)
-    p = rho.probs
-    p_round = round_trip(b, rho).probs
-    mask = p > 0
-
-    per = np.zeros_like(p)
-    per[mask] = p[mask] * np.log(p[mask] / p_round[mask])
-    direct = float(per.sum())
-
-    lam = jones_index(b)
-    d = b.source_dims
-    coarse_inner = overlap_matrix(b) @ (p / d) * d
-    coarse = (
-        math.log(lam)
-        + float(np.sum(p[mask] * np.log(p[mask])))
-        - float(np.sum(p[mask] * np.log(coarse_inner[mask])))
-    )
-
-    scale = 1.0 / LN2 if bits else 1.0
+    value, per, residual, bound = order_parameter_rows(b, rho.probs, bits)
     return EntropyReport(
-        order_parameter=direct * scale,
-        bound=math.log(lam) * scale,
-        per_sector=tuple(float(x) * scale for x in per),
-        formula_residual=abs(direct - coarse) * scale,
+        order_parameter=float(value),
+        bound=bound,
+        per_sector=tuple(per.tolist()),
+        formula_residual=float(residual),
         log_base="bits" if bits else "natural",
     )
 
@@ -184,21 +195,20 @@ def perturbation_scan(
         if abs(v.sum()) > 1e-9:
             raise ValueError(f"direction {idx} is not zero-sum (sum {v.sum()!r})")
 
-    eps_sorted = sorted(float(e) for e in epsilons)
+    eps = np.array(sorted(float(e) for e in epsilons))
     rows: list[tuple[int, float, float]] = []
     exponents: list[float] = []
     for idx, v in enumerate(dirs):
-        pts: list[tuple[float, float]] = []
-        for eps in eps_sorted:
-            probs = base.probs + eps * v
-            if np.any(probs < 0):
-                raise ValueError(
-                    f"simplex violation: direction {idx} at eps={eps} leaves the simplex"
-                )
-            value = order_parameter(b, SectorState(b.source, probs)).order_parameter
-            rows.append((idx, eps, value))
-            if eps > 0 and value > 0:
-                pts.append((math.log(eps), math.log(value)))
+        ray = base.probs + eps[:, None] * v
+        outside = np.flatnonzero(np.any(ray < 0, axis=1))
+        if outside.size:
+            raise ValueError(
+                f"simplex violation: direction {idx} at eps={eps[outside[0]]} leaves the simplex"
+            )
+        check_probs(ray)
+        values = order_parameter_rows(b, ray)[0].tolist()
+        rows.extend(zip([idx] * len(eps), eps.tolist(), values))
+        pts = [(math.log(e), math.log(s)) for e, s in zip(eps, values) if e > 0 and s > 0]
         if len(pts) >= 2:
             xs, ys = zip(*pts)
             slope = np.polyfit(xs, ys, 1)[0]

@@ -1,13 +1,21 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import anycond as ac
+from anycond import cli
 from anycond import io as cio
 from anycond.cli import main
+
+DEFAULT_CHUNK = cli.SWEEP_CHUNK
 
 
 def run(capsys, *argv):
@@ -58,6 +66,29 @@ def test_entropy_bits_flag(capsys):
     report = json.loads(out)
     assert report["order_parameter"] == pytest.approx(1.0, abs=1e-12)
     assert report["log_base"] == "bits"
+
+
+def test_entropy_renormalises_the_state_before_the_bound_check(capsys):
+    # The state sums to 1 + 1e-10, inside the 1e-9 slack; unnormalised it
+    # read S = 0.69314718063 > log 2.
+    code, out, _ = run(capsys, "entropy", "--catalog", "toric-1Y", "--state", "1,0,0,1e-10")
+    assert code == 0
+    report = json.loads(out)
+    assert report["order_parameter"] <= report["bound"]
+    assert report["order_parameter"] == pytest.approx(math.log(2.0), abs=1e-15)
+
+
+def test_entropy_exit_code_follows_tolerance(capsys, monkeypatch):
+    real = cli.order_parameter
+
+    def over_bound(b, rho, bits=False):
+        report = real(b, rho, bits)
+        return dataclasses.replace(report, order_parameter=report.bound + 1e-7)
+
+    monkeypatch.setattr(cli, "order_parameter", over_bound)
+    argv = ["entropy", "--catalog", "toric-1Y", "--state", "1/2,0,0,1/2"]
+    assert run(capsys, *argv)[0] == 1
+    assert run(capsys, "--tolerance", "1e-6", *argv)[0] == 0
 
 
 def test_entropy_bad_state_is_usage_error(capsys):
@@ -122,6 +153,60 @@ def test_sweep_lagrangian_max_attains_bound_at_vertex(capsys):
     assert max_s == pytest.approx(math.log(6.0), abs=1e-12)
     argmax = footer.split("argmax=")[1].split(" ")[0]
     assert [float(x) for x in argmax.split("|")] == [1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "entry_id,resolution", [("toric-1Y", 20), ("repS3-1Y", 60), ("z6-full", 8)]
+)
+def test_sweep_output_does_not_depend_on_chunk_size(
+    capsys, monkeypatch, tmp_path, entry_id, resolution
+):
+    # Each grid holds more than one default chunk.
+    argv = ["--grid-resolution", str(resolution), "sweep", "--catalog", entry_id]
+    outputs = set()
+    for size in (1, 7, DEFAULT_CHUNK):
+        monkeypatch.setattr(cli, "SWEEP_CHUNK", size)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        target = tmp_path / f"sweep-{size}.csv"
+        assert run(capsys, "--output", str(target), *argv)[:2] == (0, "")
+        outputs |= {out, target.read_text(encoding="utf-8")}
+    assert len(outputs) == 1
+    assert len(out.splitlines()) - 2 > DEFAULT_CHUNK
+
+
+def test_sweep_footer_keeps_the_first_maximum_across_chunks(capsys, monkeypatch):
+    # Z_3 reaches log 3 at its three vertices: the vacuum vertex opens the
+    # grid, the other two come 1,275 and 1,325 rows later, in other chunks.
+    for size in (1, 7, DEFAULT_CHUNK):
+        monkeypatch.setattr(cli, "SWEEP_CHUNK", size)
+        code, out, _ = run(capsys, "--grid-resolution", "50", "sweep", "--catalog", "z3-full")
+        assert code == 0
+        lines = out.splitlines()
+        values = [float(line.split(",")[3]) for line in lines[1:-1]]
+        top = max(values)
+        assert values.count(top) == 3
+        first = lines[1 + values.index(top)].split(",")[:3]
+        assert lines[-1].split("argmax=")[1].split(" ")[0] == "|".join(first)
+
+
+def test_closed_pipe_ends_without_a_traceback():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    # About 5 MB of CSV, far more than a pipe buffers.
+    argv = ["--grid-resolution", "80", "sweep", "--catalog", "toric-1Y"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "anycond", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b"p_1,p_Y")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert b"Traceback" not in err
 
 
 def test_enumerate_cli(capsys):
