@@ -17,6 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -249,54 +250,59 @@ def _trivial_entry(entry_id: str, name: str, system: AnyonSystem) -> CatalogEntr
     )
 
 
+# One builder per catalog id, in catalog order.  ``entry`` builds only the
+# entry it is asked for.
+_BUILDERS: dict[str, Callable[[], CatalogEntry]] = {
+    "z2-full": lambda: _zn_full_entry(2),
+    "z3-full": lambda: _zn_full_entry(3),
+    "toric-1Y": lambda: CatalogEntry(
+        id="toric-1Y",
+        description="toric code condensing the boson Y, index 2",
+        branching=toric_1y(),
+        expected=_toric_goldens(),
+    ),
+    "toric-1Z": lambda: CatalogEntry(
+        id="toric-1Z",
+        description="toric code condensing the boson Z, index 2",
+        branching=toric_1z(),
+        expected=_toric_1z_goldens(),
+    ),
+    "repS3-1X": lambda: CatalogEntry(
+        id="repS3-1X",
+        description="Rep(S3) condensing 1 + X, index 2",
+        branching=rep_s3_1x(),
+        expected=_rep_s3_1x_goldens(),
+    ),
+    "repS3-1Y": lambda: CatalogEntry(
+        id="repS3-1Y",
+        description="Rep(S3) condensing 1 + Y, index 3",
+        branching=rep_s3_1y(),
+        expected=_rep_s3_1y_goldens(),
+    ),
+    "repS3-lagrangian": lambda: CatalogEntry(
+        id="repS3-lagrangian",
+        description="Rep(S3) condensing 1 + X + 2Y, the Lagrangian algebra, index 6",
+        branching=rep_s3_lagrangian(),
+        expected=_rep_s3_lagrangian_goldens(),
+    ),
+    "z2-trivial": lambda: _trivial_entry("z2-trivial", "Z_2", zn_system(2)),
+    "z3-trivial": lambda: _trivial_entry("z3-trivial", "Z_3", zn_system(3)),
+    "toric-trivial": lambda: _trivial_entry("toric-trivial", "toric code", toric_system()),
+    "repS3-trivial": lambda: _trivial_entry("repS3-trivial", "Rep(S3)", rep_s3_system()),
+}
+
+
 def catalog() -> list[CatalogEntry]:
     """The built-in entries, each validating and reproducing its goldens."""
-    return [
-        _zn_full_entry(2),
-        _zn_full_entry(3),
-        CatalogEntry(
-            id="toric-1Y",
-            description="toric code condensing the boson Y, index 2",
-            branching=toric_1y(),
-            expected=_toric_goldens(),
-        ),
-        CatalogEntry(
-            id="toric-1Z",
-            description="toric code condensing the boson Z, index 2",
-            branching=toric_1z(),
-            expected=_toric_1z_goldens(),
-        ),
-        CatalogEntry(
-            id="repS3-1X",
-            description="Rep(S3) condensing 1 + X, index 2",
-            branching=rep_s3_1x(),
-            expected=_rep_s3_1x_goldens(),
-        ),
-        CatalogEntry(
-            id="repS3-1Y",
-            description="Rep(S3) condensing 1 + Y, index 3",
-            branching=rep_s3_1y(),
-            expected=_rep_s3_1y_goldens(),
-        ),
-        CatalogEntry(
-            id="repS3-lagrangian",
-            description="Rep(S3) condensing 1 + X + 2Y, the Lagrangian algebra, index 6",
-            branching=rep_s3_lagrangian(),
-            expected=_rep_s3_lagrangian_goldens(),
-        ),
-        _trivial_entry("z2-trivial", "Z_2", zn_system(2)),
-        _trivial_entry("z3-trivial", "Z_3", zn_system(3)),
-        _trivial_entry("toric-trivial", "toric code", toric_system()),
-        _trivial_entry("repS3-trivial", "Rep(S3)", rep_s3_system()),
-    ]
+    return [build() for build in _BUILDERS.values()]
 
 
 def entry(entry_id: str) -> CatalogEntry:
     """Look up a catalog entry by id; ``z<N>-full`` and ``z<N>-trivial``
     resolve for any N >= 2."""
-    for item in catalog():
-        if item.id == entry_id:
-            return item
+    build = _BUILDERS.get(entry_id)
+    if build is not None:
+        return build()
     match = re.fullmatch(r"z(\d+)-(full|trivial)", entry_id)
     if match:
         n = int(match.group(1))
@@ -304,5 +310,5 @@ def entry(entry_id: str) -> CatalogEntry:
             if match.group(2) == "full":
                 return _zn_full_entry(n)
             return _trivial_entry(entry_id, f"Z_{n}", zn_system(n))
-    known = ", ".join(item.id for item in catalog())
+    known = ", ".join(_BUILDERS)
     raise KeyError(f"unknown catalog entry {entry_id!r}; known: {known}")

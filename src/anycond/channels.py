@@ -42,6 +42,18 @@ class SystemMismatchError(ValueError):
     """A state or operator is indexed by a different system than required."""
 
 
+class NotCondensableError(ValueError):
+    """A branching whose channels would not preserve probability;
+    ``violations`` names each broken dimension constraint and its sector."""
+
+    def __init__(self, violations):
+        self.violations = tuple(violations)
+        super().__init__(
+            "branching is not condensable: "
+            + "; ".join(f"{v.rule}: {v.detail}" for v in self.violations)
+        )
+
+
 def check_probs(p: np.ndarray) -> None:
     """Boundary check of one probability vector or a stack of them (rows):
     finite, non-negative, each summing to one within ``1e-9``."""
@@ -157,9 +169,10 @@ def condensation(b: BranchingData) -> Condensation:
     """The compiled form of ``b``, built on first use and kept on ``b``.
 
     Keeping it is safe because ``n`` and both systems are read-only.  Raises
-    ``ValueError`` naming the rule (``dim-restriction`` or ``dim-lift``) and
-    the sector when a quantum-dimension constraint fails, since the channels
-    would then not preserve probability.
+    :class:`NotCondensableError` naming the rule (``dim-restriction`` or
+    ``dim-lift``) and the sector when a quantum-dimension constraint fails
+    by more than ``1e-9``, since the channels would then not preserve
+    probability.
     """
     compiled = b.__dict__.get("_condensation")
     if compiled is not None:
@@ -167,9 +180,7 @@ def condensation(b: BranchingData) -> Condensation:
     lam = jones_index(b)
     bad = dimension_violations(b, lam)
     if bad:
-        raise ValueError(
-            "branching is not condensable: " + "; ".join(f"{v.rule}: {v.detail}" for v in bad)
-        )
+        raise NotCondensableError(bad)
     d_a, d_t = b.source_dims, b.condensed_dims
     arrays = (
         d_a,

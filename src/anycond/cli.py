@@ -10,6 +10,7 @@ I/O trouble, including a reader that closed the output pipe early.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -26,8 +27,10 @@ from . import io as cio
 from .branching import BranchingData, CondensableAlgebra, validate_branching
 from .catalog import catalog, entry
 from .channels import (
+    NotCondensableError,
     SectorState,
     check_probs,
+    condensation,
     lift_coarse,
     restrict,
     round_trip,
@@ -119,7 +122,15 @@ def _emit_json(payload, cfg: CliConfig):
 
 
 def _require_valid(b: BranchingData, cfg: CliConfig) -> bool:
+    # Validation reads --tolerance, but compiling checks the dimension
+    # constraints at its own fixed 1e-9, so a branching may pass one and
+    # fail the other; both failures get the same report.
     report = validate_branching(b, cfg.tolerance)
+    if report.ok:
+        try:
+            condensation(b)
+        except NotCondensableError as exc:
+            report = dataclasses.replace(report, violations=exc.violations)
     if not report.ok:
         _emit_json({"error": "branching data is not condensable", **report.as_dict()}, cfg)
         return False
@@ -264,6 +275,8 @@ def cmd_duality(args, cfg: CliConfig) -> int:
         bA, bB = docA, docB
     else:
         raise UsageError("provide --a/--b files or --catalog-a/--catalog-b ids")
+    if not (_require_valid(bA, cfg) and _require_valid(bB, cfg)):
+        return 1
     try:
         found = find_dualities(bA, bB)
     except ValueError as exc:
@@ -375,6 +388,8 @@ def main(argv=None) -> int:
         parser.error("--tolerance must be positive")
     if args.grid_resolution < 1:
         parser.error("--grid-resolution must be at least 1")
+    if args.command == "duality" and args.trials < 0:
+        parser.error("--trials must be non-negative")
     if args.command == "catalog" and args.action == "show" and not args.id:
         parser.error("catalog show requires an entry id")
     cfg = CliConfig(

@@ -12,19 +12,21 @@ restrict_B(rho) = tau( restrict_A(sigma(rho)) ) for every state, which
 
 The search considers only permutations that preserve every piece of sector
 data the systems declare: quantum dimensions always, twists and
-antiparticle maps whenever present.  The vacuum is always fixed.
+antiparticle maps whenever present.  The vacuum is always fixed.  It
+backtracks over sigma alone; once sigma is fixed, the identity leaves
+tau(t) only the condensed labels whose column of n_B equals column t of n_A
+read through sigma, so tau is derived rather than searched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Mapping
 
 import numpy as np
 
 from .branching import BranchingData, jones_index
-from .channels import SectorState, restrict
+from .channels import SectorState, check_probs, condensation
 from .systems import DEFAULT_TOL, AnyonSystem
 
 
@@ -88,18 +90,6 @@ def apply_permutation(duality: PermutationDuality, rho: SectorState) -> SectorSt
     return SectorState(system, out)
 
 
-def _coefficient_residual(
-    bA: BranchingData, bB: BranchingData, duality: PermutationDuality
-) -> int:
-    worst = 0
-    for i, a in enumerate(bA.source.labels):
-        i_sigma = bA.source.index(duality.source_perm[a])
-        for j, t in enumerate(bA.condensed.labels):
-            j_tau = bB.condensed.index(duality.condensed_perm[t])
-            worst = max(worst, abs(int(bB.n[i, j_tau]) - int(bA.n[i_sigma, j])))
-    return worst
-
-
 def verify_duality(
     bA: BranchingData,
     bB: BranchingData,
@@ -111,9 +101,13 @@ def verify_duality(
 
     Checks the exact coefficient identity and, over ``trials`` random source
     states, the max-norm gap between restrict_B(rho) and the
-    ``condensed_perm``-relabelled restrict_A(sigma(rho)).  Structural
-    mismatches (different sources, non-isomorphic condensed systems) raise.
+    ``condensed_perm``-relabelled restrict_A(sigma(rho)).  The states are
+    drawn as one ``(trials, n_source)`` stack and pass through both compiled
+    channels at once.  Structural mismatches (different sources,
+    non-isomorphic condensed systems) and negative ``trials`` raise.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     if bA.source != bB.source:
         raise ValueError("dualities compare branchings of one source system")
     _check_label_bijection(duality.source_perm, bA.source, bA.source, DEFAULT_TOL, "source_perm")
@@ -121,54 +115,85 @@ def verify_duality(
         duality.condensed_perm, bA.condensed, bB.condensed, DEFAULT_TOL, "condensed_perm"
     )
 
-    residual = float(_coefficient_residual(bA, bB, duality))
-    rng = np.random.default_rng(seed)
-    tau_index = [
-        bB.condensed.index(duality.condensed_perm[t]) for t in bA.condensed.labels
+    source = bA.source
+    sigma = [source.index(duality.source_perm[a]) for a in source.labels]
+    tau = [bB.condensed.index(duality.condensed_perm[t]) for t in bA.condensed.labels]
+    # n_B[a, tau(t)] - n_A[sigma(a), t] over every (a, t).
+    residual = float(np.max(np.abs(bB.n[:, tau] - bA.n[sigma])))
+    if trials == 0:
+        return residual
+    raw = np.random.default_rng(seed).random((trials, len(source))) + 1e-12
+    rho = raw / raw.sum(axis=1, keepdims=True)
+    check_probs(rho)
+    moved = np.empty_like(rho)
+    moved[:, sigma] = rho  # the weight of a moves to sigma(a)
+    relabelled = np.empty((trials, len(tau)))
+    relabelled[:, tau] = condensation(bA).restrict(moved)
+    gap = np.abs(condensation(bB).restrict(rho) - relabelled)
+    return max(residual, float(np.max(gap)))
+
+
+def _label_constraints(domain: AnyonSystem, codomain: AnyonSystem, tol: float):
+    """The sector data a label bijection domain -> codomain must keep.
+
+    Per domain index: the codomain indices it may map to (the vacuum to the
+    vacuum, any other label to a non-vacuum label of equal dimension and,
+    when both systems declare twists, equal twist), and the pairs
+    (k, dual(k)) whose images are both known once that index is placed.
+    Last, the codomain's antiparticle indices; ``None``, with no pairs,
+    unless both systems declare duals.
+    """
+    twists = domain.twist is not None and codomain.twist is not None
+    allowed = [
+        [
+            j
+            for j, (b, e) in enumerate(zip(codomain.labels, codomain.dims))
+            if (a == domain.vacuum) == (b == codomain.vacuum)
+            and abs(d - e) <= tol
+            and (not twists or domain.twist.get(a, 0) == codomain.twist.get(b, 0))
+        ]
+        for a, d in zip(domain.labels, domain.dims)
     ]
-    for _ in range(trials):
-        raw = rng.random(len(bA.source)) + 1e-12
-        rho = SectorState(bA.source, raw / raw.sum())
-        lhs = restrict(bB, rho).probs
-        via_a = restrict(bA, apply_permutation(duality, rho)).probs
-        relabelled = np.zeros_like(via_a)
-        for j, j_tau in enumerate(tau_index):
-            relabelled[j_tau] = via_a[j]
-        residual = max(residual, float(np.max(np.abs(lhs - relabelled))))
-    return residual
+    checks = [[] for _ in domain.labels]
+    if domain.dual is None or codomain.dual is None:
+        return allowed, checks, None
+    for k, a in enumerate(domain.labels):
+        kbar = domain.index(domain.dual.get(a, a))
+        checks[max(k, kbar)].append((k, kbar))
+    cod_dual = [codomain.index(codomain.dual.get(b, b)) for b in codomain.labels]
+    return allowed, checks, cod_dual
 
 
-def _admissible_maps(
-    domain: AnyonSystem, codomain: AnyonSystem, tol: float
-) -> list[dict[str, str]]:
-    """Vacuum-fixing label bijections preserving dims and, when declared,
-    twists and antiparticle structure.  Lexicographic in the image tuple."""
-    if len(domain) != len(codomain):
-        return []
-    dom_rest = [l for l in domain.labels if l != domain.vacuum]
-    cod_rest = [l for l in codomain.labels if l != codomain.vacuum]
-    both_twists = domain.twist is not None and codomain.twist is not None
-    both_duals = domain.dual is not None and codomain.dual is not None
+def _bijections(constraints, fits):
+    """Label bijections that keep ``constraints`` (see
+    :func:`_label_constraints`) and map each i to a j with ``fits(i, j)``,
+    as image tuples in lexicographic order.  Backtracks label by label and
+    checks each antiparticle pair as soon as both of its images are placed."""
+    candidates, checks, cod_dual = constraints
+    allowed = [[j for j in cands if fits(i, j)] for i, cands in enumerate(candidates)]
+    image = [0] * len(allowed)
+    used = set()
 
-    found = []
-    for image in permutations(cod_rest):
-        perm = {domain.vacuum: codomain.vacuum}
-        perm.update(zip(dom_rest, image))
-        ok = all(
-            abs(domain.dim_of(a) - codomain.dim_of(b)) <= tol for a, b in perm.items()
-        )
-        if ok and both_twists:
-            ok = all(
-                domain.twist.get(a, 0) == codomain.twist.get(b, 0) for a, b in perm.items()
-            )
-        if ok and both_duals:
-            ok = all(
-                perm[domain.dual.get(a, a)] == codomain.dual.get(b, b)
-                for a, b in perm.items()
-            )
-        if ok:
-            found.append(perm)
-    return found
+    def place(i):
+        if i == len(allowed):
+            yield tuple(image)
+            return
+        for j in allowed[i]:
+            if j in used:
+                continue
+            image[i] = j
+            if all(image[kbar] == cod_dual[image[k]] for k, kbar in checks[i]):
+                used.add(j)
+                yield from place(i + 1)
+                used.discard(j)
+
+    return place(0)
+
+
+def _labelled(domain: AnyonSystem, codomain: AnyonSystem, image) -> dict[str, str]:
+    perm = {domain.vacuum: codomain.vacuum}
+    perm.update((a, codomain.labels[j]) for a, j in zip(domain.labels, image))
+    return perm
 
 
 def find_dualities(
@@ -179,10 +204,14 @@ def find_dualities(
 ) -> list[PermutationDuality]:
     """All permutation dualities between two branchings of one source.
 
-    Exhausts every admissible (sigma, tau) pair and keeps those satisfying
-    the coefficient identity exactly; the result is lexicographically
-    ordered by the image tuples.  Raises when the source systems differ or
-    a label count exceeds ``label_cap`` (factorial search guard).
+    Backtracks over source permutations sigma whose every source label a
+    keeps its sector data and has a row of ``n_B`` equal, as a multiset, to
+    row sigma(a) of ``n_A``.  For each such sigma, tau(t) may only be a
+    condensed label whose column of ``n_B`` is column t of ``n_A`` read
+    through sigma, so every pair found satisfies the coefficient identity
+    exactly.  The result is ordered by sigma, then tau, each
+    lexicographically by its image tuple.  Raises when the source systems
+    differ or a label count exceeds ``label_cap``.
     """
     if bA.source != bB.source:
         raise ValueError("dualities compare branchings of one source system")
@@ -193,12 +222,19 @@ def find_dualities(
             )
     if abs(jones_index(bA) - jones_index(bB)) > tol:
         return []
+    source, cA, cB = bA.source, bA.condensed, bB.condensed
+    if len(cA) != len(cB):
+        return []
+
+    rows_a = [sorted(row) for row in bA.n.tolist()]
+    rows_b = [sorted(row) for row in bB.n.tolist()]
+    cols_a, cols_b = bA.n.T.tolist(), bB.n.T.tolist()
+    tau_constraints = _label_constraints(cA, cB, tol)
 
     out = []
-    taus = _admissible_maps(bA.condensed, bB.condensed, tol)
-    for sigma in _admissible_maps(bA.source, bA.source, tol):
-        for tau in taus:
-            duality = PermutationDuality(sigma, tau)
-            if _coefficient_residual(bA, bB, duality) == 0:
-                out.append(duality)
+    sigma_constraints = _label_constraints(source, source, tol)
+    for sigma in _bijections(sigma_constraints, lambda i, c: rows_a[c] == rows_b[i]):
+        moved = [[col[s] for s in sigma] for col in cols_a]
+        for tau in _bijections(tau_constraints, lambda t, u: cols_b[u] == moved[t]):
+            out.append(PermutationDuality(_labelled(source, source, sigma), _labelled(cA, cB, tau)))
     return out

@@ -1,5 +1,6 @@
 """Built-in catalog: entries validate and reproduce their reference values."""
 
+import importlib
 import math
 
 import pytest
@@ -76,6 +77,32 @@ def test_unknown_entry_raises():
         ac.entry("nope")
     with pytest.raises(KeyError):
         ac.entry("z1-full")
+
+
+def test_unknown_entry_lists_every_known_id():
+    with pytest.raises(KeyError) as info:
+        ac.entry("nope")
+    known = ", ".join(e.id for e in ac.catalog())
+    assert info.value.args[0] == f"unknown catalog entry 'nope'; known: {known}"
+
+
+def test_entry_equals_the_catalog_item():
+    for item in ac.catalog():
+        assert ac.entry(item.id) == item
+
+
+def test_entry_builds_only_the_requested_entry(monkeypatch):
+    # ``anycond.catalog`` is the function; the module is looked up by name.
+    cat = importlib.import_module("anycond.catalog")
+
+    def not_asked_for(*args):
+        raise AssertionError("entry built another catalog entry")
+
+    for name in ("toric_1z", "rep_s3_1x", "rep_s3_1y", "rep_s3_lagrangian", "trivial_condensation"):
+        monkeypatch.setattr(cat, name, not_asked_for)
+    assert ac.entry("toric-1Y").id == "toric-1Y"
+    assert ac.entry("z3-full").id == "z3-full"
+    assert ac.entry("z256-full").branching.n.shape == (256, 1)
 
 
 def test_catalog_is_stable():

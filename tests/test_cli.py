@@ -246,6 +246,70 @@ def test_duality_cli_finds_the_swap(capsys):
     assert duality["residual"] <= 1e-12
 
 
+def _toric_off_by_1e7(tmp_path):
+    """toric-1Y with d_Y = 1 + 1e-7: valid at --tolerance 1e-6, but not at
+    the fixed 1e-9 at which a branching is compiled into its channels."""
+    b = ac.entry("toric-1Y").branching
+    s = b.source
+    source = ac.AnyonSystem(s.labels, (1.0, 1.0 + 1e-7, 1.0, 1.0), s.vacuum, s.dual, s.twist)
+    path = tmp_path / "off.json"
+    cio.save(ac.BranchingData(source, b.condensed, b.n), path)
+    return str(path)
+
+
+def _assert_not_condensable(out, rules):
+    payload = json.loads(out)
+    assert payload["error"] == "branching data is not condensable"
+    assert payload["ok"] is False
+    found = {v["rule"] for v in payload["violations"]}
+    assert set(rules) <= found
+    assert any("'Y'" in v["detail"] for v in payload["violations"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--state", "1/2,0,0,1/2"],
+        ["condense", "--state", "1/2,0,0,1/2"],
+        ["sweep", "--grid-resolution", "2"],
+    ],
+    ids=["entropy", "condense", "sweep"],
+)
+def test_branching_within_tolerance_but_not_compilable_is_reported(capsys, tmp_path, argv):
+    path = _toric_off_by_1e7(tmp_path)
+    # At the default tolerance validation already rejects the file.
+    code, out, _ = run(capsys, *argv, "--branching", path)
+    assert code == 1
+    _assert_not_condensable(out, ["dim-restriction", "dim-lift"])
+    # At 1e-6 validation passes and compiling rejects it, with the same report.
+    code, out, err = run(capsys, "--tolerance", "1e-6", *argv, "--branching", path)
+    assert code == 1
+    assert err == ""
+    _assert_not_condensable(out, ["dim-restriction", "dim-lift"])
+    assert not any(line.startswith("p_") for line in out.splitlines())
+
+
+@pytest.mark.parametrize("extra", [[], ["--trials", "0"], ["--tolerance", "1e-6"]])
+def test_duality_rejects_a_non_condensable_branching(capsys, tmp_path, extra):
+    path = _toric_off_by_1e7(tmp_path)
+    code, out, err = run(capsys, "duality", "--a", path, "--b", path, *extra)
+    assert code == 1
+    assert err == ""
+    _assert_not_condensable(out, ["dim-restriction"])
+    good = tmp_path / "good.json"
+    cio.save(ac.entry("toric-1Y").branching, good)
+    code, out, _ = run(capsys, "duality", "--a", str(good), "--b", path, *extra)
+    assert code == 1
+    _assert_not_condensable(out, ["dim-restriction"])
+
+
+def test_duality_negative_trials_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["duality", "--catalog-a", "toric-1Y", "--catalog-b", "toric-1Z", "--trials", "-1"])
+    assert info.value.code == 2
+    assert "--trials must be non-negative" in capsys.readouterr().err
+
+
 def test_catalog_list_contains_reference_entries(capsys):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0

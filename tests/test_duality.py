@@ -1,10 +1,14 @@
 """Permutation dualities between condensation patterns."""
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import anycond as ac
 from anycond.catalog import zn_system
+from bruteforce_dualities import admissible_maps, brute_force_dualities, coefficient_residual
 
 
 def _swap_yz():
@@ -126,3 +130,204 @@ def test_twist_preservation_prunes_candidates(toric_1y, toric_1z):
 def test_duality_is_rejected_for_non_bijections():
     with pytest.raises(ValueError):
         ac.PermutationDuality({"a": "x", "b": "x"}, {})
+
+
+def test_verify_duality_rejects_negative_trials(toric_1y, toric_1z):
+    with pytest.raises(ValueError, match="trials"):
+        ac.verify_duality(toric_1y, toric_1z, _swap_yz(), trials=-5)
+
+
+def test_verify_duality_without_trials_is_the_coefficient_residual(toric_1y, toric_1z):
+    assert ac.verify_duality(toric_1y, toric_1z, _swap_yz(), trials=0) == 0.0
+    wrong = _identity_duality(toric_1y)
+    want = coefficient_residual(toric_1y, toric_1z, wrong.source_perm, wrong.condensed_perm)
+    assert ac.verify_duality(toric_1y, toric_1z, wrong, trials=0) == float(want) == 1.0
+
+
+# --- differential oracle: the exhaustive pair search --------------------------
+
+
+def plant(bA, sigma, tau):
+    """The branching B with n_B[a, tau(t)] = n_A[sigma(a), t], so that
+    (sigma, tau) is a duality from A to B when both keep the sector data."""
+    src, cond = bA.source, bA.condensed
+    n = np.zeros_like(bA.n)
+    for i, a in enumerate(src.labels):
+        for j, t in enumerate(cond.labels):
+            n[i, cond.index(tau[t])] = bA.n[src.index(sigma[a]), j]
+    return ac.BranchingData(src, cond, n)
+
+
+def _as_pairs(found):
+    return [(list(d.source_perm.items()), list(d.condensed_perm.items())) for d in found]
+
+
+def _oracle(bA, bB):
+    return [(list(s.items()), list(t.items())) for s, t in brute_force_dualities(bA, bB)]
+
+
+def _verify_per_trial(bA, bB, duality, trials, seed):
+    """verify_duality as one state at a time: a SectorState, a permuted
+    state and two restrict calls per trial, from the same random stream."""
+    sigma, tau = duality.source_perm, duality.condensed_perm
+    residual = float(coefficient_residual(bA, bB, sigma, tau))
+    rng = np.random.default_rng(seed)
+    tau_index = [bB.condensed.index(tau[t]) for t in bA.condensed.labels]
+    for _ in range(trials):
+        raw = rng.random(len(bA.source)) + 1e-12
+        rho = ac.SectorState(bA.source, raw / raw.sum())
+        lhs = ac.restrict(bB, rho).probs
+        via_a = ac.restrict(bA, ac.apply_permutation(duality, rho)).probs
+        relabelled = np.zeros_like(via_a)
+        relabelled[tau_index] = via_a
+        residual = max(residual, float(np.max(np.abs(lhs - relabelled))))
+    return residual
+
+
+CATALOG_PAIRS = [
+    (a.id, b.id)
+    for a in ac.catalog()
+    for b in ac.catalog()
+    if a.branching.source == b.branching.source
+]
+
+
+def _plain(labels, dims):
+    return ac.AnyonSystem(tuple(labels), dims, labels[0])
+
+
+# Plain sources (no twist or dual data) in which sectors of one dimension
+# restrict to different row multisets, so the row test prunes sigma.
+MIXED_ROWS = {
+    "mixed-rows-5": lambda: ac.BranchingData(
+        _plain("abcde", (1, 1, 2, 2, 2)),
+        _plain("pqrs", (1, 1, 1, 2)),
+        [[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 1], [0, 1, 1, 0]],
+    ),
+    "mixed-rows-6": lambda: ac.BranchingData(
+        _plain("abcdef", (1, 1, 1, 1, 2, 2)),
+        _plain("pqr", (1, 1, 1)),
+        [[1, 0, 0], [0, 0, 1], [0, 0, 1], [1, 0, 0], [0, 2, 0], [1, 0, 1]],
+    ),
+}
+
+
+def _branching(name):
+    make = MIXED_ROWS.get(name)
+    return make() if make else ac.entry(name).branching
+
+
+PLANTED_IDS = (
+    "toric-1Y", "z6-full", "z7-trivial", "repS3-1X", "repS3-1Y", "repS3-lagrangian",
+    "mixed-rows-5", "mixed-rows-6",
+)
+
+
+def _planted_cases():
+    rng = random.Random(5)
+    cases = []
+    for name in PLANTED_IDS:
+        bA = _branching(name)
+        sigmas = admissible_maps(bA.source, bA.source)
+        taus = admissible_maps(bA.condensed, bA.condensed)
+        for k in range(3):
+            sigma, tau = rng.choice(sigmas), rng.choice(taus)
+            cases.append(pytest.param(bA, plant(bA, sigma, tau), sigma, tau, id=f"{name}-{k}"))
+    return cases
+
+
+PLANTED = _planted_cases()
+
+
+@pytest.mark.parametrize("id_a,id_b", CATALOG_PAIRS)
+def test_search_matches_the_oracle_on_catalog_pairs(id_a, id_b):
+    bA, bB = ac.entry(id_a).branching, ac.entry(id_b).branching
+    assert _as_pairs(ac.find_dualities(bA, bB)) == _oracle(bA, bB)
+
+
+@pytest.mark.parametrize("bA,bB,sigma,tau", PLANTED)
+def test_search_matches_the_oracle_on_planted_relabellings(bA, bB, sigma, tau):
+    found = ac.find_dualities(bA, bB)
+    assert _as_pairs(found) == _oracle(bA, bB)
+    assert ac.PermutationDuality(sigma, tau) in found
+
+
+def _strip(system, keep_dual, keep_twist):
+    return ac.AnyonSystem(
+        system.labels,
+        system.dims,
+        system.vacuum,
+        system.dual if keep_dual else None,
+        system.twist if keep_twist else None,
+    )
+
+
+# Sources of at most 6 labels keep the oracle's pair search short; without
+# twist or dual data only those of at most 5.
+HYPOTHESIS_IDS = (
+    "toric-1Y", "toric-1Z", "toric-trivial", "repS3-1X", "repS3-1Y",
+    "repS3-lagrangian", "repS3-trivial", "z4-full", "z5-trivial", "z6-full", "z6-trivial",
+    "mixed-rows-5", "mixed-rows-6",
+)
+
+
+@st.composite
+def relabellings(draw):
+    """A branching A, possibly stripped of its twists or duals, and
+    B = A relabelled by any vacuum-fixing (sigma, tau), admissible or not."""
+    b = _branching(draw(st.sampled_from(HYPOTHESIS_IDS)))
+    if len(b.source) <= 5:
+        keep_dual, keep_twist = draw(st.booleans()), draw(st.booleans())
+        b = ac.BranchingData(
+            _strip(b.source, keep_dual, keep_twist), _strip(b.condensed, keep_dual, keep_twist), b.n
+        )
+
+    def relabelling(system):
+        rest = [l for l in system.labels if l != system.vacuum]
+        return {system.vacuum: system.vacuum, **dict(zip(rest, draw(st.permutations(rest))))}
+
+    return b, plant(b, relabelling(b.source), relabelling(b.condensed))
+
+
+@given(pair=relabellings())
+@settings(max_examples=150, deadline=None)
+def test_search_matches_the_oracle_on_random_relabellings(pair):
+    bA, bB = pair
+    assert _as_pairs(ac.find_dualities(bA, bB)) == _oracle(bA, bB)
+    assert _as_pairs(ac.find_dualities(bB, bA)) == _oracle(bB, bA)
+
+
+def _verify_cases():
+    for id_a, id_b in CATALOG_PAIRS:
+        yield ac.entry(id_a).branching, ac.entry(id_b).branching
+    for case in PLANTED:
+        yield case.values[:2]
+
+
+def test_batched_verify_matches_the_per_trial_loop():
+    checked = 0
+    for bA, bB in _verify_cases():
+        # A few found dualities, and the identity, which fails on most pairs.
+        candidates = ac.find_dualities(bA, bB)[:6] + [_identity_duality(bA)]
+        for d in candidates:
+            if set(d.condensed_perm.values()) != set(bB.condensed.labels):
+                continue
+            for seed in (0, 11):
+                got = ac.verify_duality(bA, bB, d, trials=100, seed=seed)
+                want = _verify_per_trial(bA, bB, d, 100, seed)
+                assert abs(got - want) <= 1e-15
+                checked += 1
+    assert checked > 100
+
+
+def test_seven_plain_labels_give_720_dualities():
+    # The exhaustive pair search tries 720 x 720 pairs here; from sigma
+    # alone tau is forced to be sigma's inverse.
+    plain = ac.AnyonSystem(tuple(str(i) for i in range(7)), (1.0,) * 7, "0")
+    b = ac.trivial_condensation(plain)
+    found = ac.find_dualities(b, b)
+    assert len(found) == 720
+    images = [tuple(int(d.source_perm[l]) for l in plain.labels) for d in found]
+    assert images == sorted(set(images))
+    assert all(d.condensed_perm == d.inverse().source_perm for d in found)
+    assert max(ac.verify_duality(b, b, d, trials=20) for d in found) == 0.0
