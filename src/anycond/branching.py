@@ -20,6 +20,7 @@ total quantum dimensions, lam = D2(source) / D2(condensed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -183,6 +184,18 @@ def dimension_violations(b: BranchingData, lam: float, tol: float = DEFAULT_TOL)
     ]
 
 
+def boson_violations(source: AnyonSystem, vacuum_column) -> list[Violation]:
+    """One violation per sector of the vacuum column whose twist is not
+    trivial; none when the source declares no twists."""
+    if source.twist is None:
+        return []
+    return [
+        Violation("boson-condition", f"condensed sector {a!r} is not a boson")
+        for a, c in zip(source.labels, vacuum_column)
+        if c > 0 and source.twist.get(a, Fraction(0)) != 0
+    ]
+
+
 def validate_branching(b: BranchingData, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check every branching invariant; empty report means condensable.
 
@@ -231,13 +244,7 @@ def validate_branching(b: BranchingData, tol: float = DEFAULT_TOL) -> Validation
         unchecked.append("dual-symmetry")
 
     if b.source.twist is not None:
-        from fractions import Fraction
-
-        for i, a in enumerate(b.source.labels):
-            if b.vacuum_column[i] > 0 and b.source.twist.get(a, Fraction(0)) != 0:
-                bad.append(
-                    Violation("boson-condition", f"condensed sector {a!r} is not a boson")
-                )
+        bad.extend(boson_violations(b.source, b.vacuum_column))
     else:
         unchecked.append("boson-condition")
 

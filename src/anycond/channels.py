@@ -92,9 +92,6 @@ class SectorState:
             return NotImplemented
         return self.system == other.system and np.array_equal(self.probs, other.probs)
 
-    def prob_of(self, label: str) -> float:
-        return float(self.probs[self.system.index(label)])
-
 
 def _channel_output(system: AnyonSystem, probs: np.ndarray) -> SectorState:
     # A stochastic matrix maps a checked state to a state, so the output of

@@ -14,9 +14,13 @@ bounds:
 * rows are then combined depth-first under the running column constraint
   sum_a n[a, t] * d_a = lam * d_t.
 
-Condensed labels are pure gauge, so results are deduplicated up to
-permutations of the non-vacuum condensed sectors via a canonical form that
-sorts columns by (dimension, entries).  The output order is deterministic.
+Condensed labels are pure gauge, so the search is orderly (Read 1978,
+McKay 1998): it emits one matrix per relabelling orbit of the non-vacuum
+condensed sectors, the one whose columns of equal dimension ascend
+lexicographically, and never generates the others.  The remaining rules of
+``validate_branching`` hold by construction or depend on the source and the
+algebra alone, so they are checked once, before the search.  The output
+order is deterministic.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .branching import BranchingData, CondensableAlgebra, validate_branching
-from .systems import DEFAULT_TOL, AnyonSystem
+from .branching import BranchingData, CondensableAlgebra, boson_violations, validate_branching
+from .systems import DEFAULT_TOL, AnyonSystem, validate_system
 
 
 def _integer_dims(system: AnyonSystem, tol: float) -> list[int]:
@@ -66,20 +70,39 @@ def _row_solutions(target: int, dims: tuple[int, ...]) -> list[tuple[int, ...]]:
     return solutions
 
 
-def canonical_matrix(n: np.ndarray, condensed_dims, vacuum_col: int) -> tuple:
-    """Canonical key of a branching matrix under condensed relabelling.
+def _orderly_fill(
+    d: list[int], row_options: list[list[tuple[int, ...]]], targets: list[int], ties: list[int]
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Every choice of one option per row whose weighted column sums meet
+    ``targets``, with columns j and j + 1 in ascending lexicographic order
+    for each j in ``ties``.
 
-    The vacuum column stays first; the remaining columns are sorted by
-    (dimension, entries).  Two matrices related by a permutation of the
-    non-vacuum condensed sectors share the same key.
+    A tied pair stays tied while the two columns agree on the rows placed so
+    far; a row that would put a tied pair in decreasing order is skipped.
     """
-    rest = sorted(
-        (int(condensed_dims[j]), tuple(int(x) for x in n[:, j]))
-        for j in range(n.shape[1])
-        if j != vacuum_col
-    )
-    vac = tuple(int(x) for x in n[:, vacuum_col])
-    return (vac, tuple(rest))
+    out = []
+    last = len(row_options)
+
+    def fill(i: int, weights: list[int], ties: list[int], rows: tuple):
+        if i == last:
+            if weights == targets:
+                out.append(rows)
+            return
+        di = d[i]
+        for option in row_options[i]:
+            still = []
+            for j in ties:
+                if option[j] > option[j + 1]:
+                    break
+                if option[j] == option[j + 1]:
+                    still.append(j)
+            else:
+                nxt = [w + v * di for w, v in zip(weights, option)]
+                if all(w <= t for w, t in zip(nxt, targets)):
+                    fill(i + 1, nxt, still, rows + (option,))
+
+    fill(0, [0] * len(targets), ties, ())
+    return out
 
 
 def _condensed_labels(count: int) -> tuple[str, ...]:
@@ -95,7 +118,7 @@ def enumerate_branchings(
 ) -> list[BranchingData]:
     """All valid branchings whose vacuum column equals ``algebra``.
 
-    Results are deduplicated up to relabelling of the non-vacuum condensed
+    Results are unique up to relabelling of the non-vacuum condensed
     sectors and returned in a deterministic order (sector count, condensed
     dims, then matrix entries).  Raises ``ValueError`` for non-integer
     source dims or bounds below 1.
@@ -107,6 +130,8 @@ def enumerate_branchings(
 
     d = _integer_dims(source, tol)
     coeff = algebra.coefficients
+    if not validate_system(source, tol).ok or boson_violations(source, coeff):
+        return []
     vac = source.vacuum_index
     lam = sum(c * di for c, di in zip(coeff, d))
     d2_source = sum(di * di for di in d)
@@ -115,62 +140,35 @@ def enumerate_branchings(
     rest_budget = d2_source // lam - 1
     if rest_budget < 0:
         return []
+    # With exact integer dims every sum below is exact, so the dimension
+    # constraints and the index ratio hold as built.  Dims that are integers
+    # only within tol accumulate float error that validation may reject.
+    exact = all(x == di for x, di in zip(source.dims, d))
 
-    found: dict[tuple, BranchingData] = {}
+    keyed = []
     for rest_dims in _dim_multisets(rest_budget, max_sectors - 1, max_dim):
         k = len(rest_dims)
-        col_targets = [lam * dj for dj in rest_dims]
-
         # Row of the source vacuum is forced to the vacuum-column indicator.
-        row_options: list[list[tuple[int, ...]]] = []
-        feasible = True
-        for i in range(len(source)):
-            if i == vac:
-                row_options.append([(0,) * k])
-                continue
-            options = _row_solutions(d[i] - coeff[i], rest_dims)
-            if not options:
-                feasible = False
-                break
-            row_options.append(options)
-        if not feasible:
+        row_options = [
+            [(0,) * k] if i == vac else _row_solutions(d[i] - coeff[i], rest_dims)
+            for i in range(len(source))
+        ]
+        if not all(row_options):
             continue
+        ties = [j for j in range(k - 1) if rest_dims[j] == rest_dims[j + 1]]
+        found = _orderly_fill(d, row_options, [lam * dj for dj in rest_dims], ties)
+        condensed = AnyonSystem(
+            labels=_condensed_labels(k),
+            dims=(1.0,) + tuple(float(x) for x in rest_dims),
+            vacuum="phi",
+        )
+        for rows in found:
+            n = np.array([(c,) + row for c, row in zip(coeff, rows)], dtype=np.int64)
+            b = BranchingData(source, condensed, n)
+            if exact or validate_branching(b, tol).ok:
+                # The columns are already canonical, so this is the key the
+                # results sort by: sector count, then (dim, column) pairs.
+                keyed.append(((k + 1, tuple(zip(rest_dims, zip(*rows)))), b))
 
-        matrices: list[list[tuple[int, ...]]] = []
-
-        def fill(i: int, weights: list[int], rows: list[tuple[int, ...]]):
-            if i == len(source):
-                if weights == col_targets:
-                    matrices.append(list(rows))
-                return
-            for option in row_options[i]:
-                nxt = [w + v * d[i] for w, v in zip(weights, option)]
-                if all(w <= t for w, t in zip(nxt, col_targets)):
-                    fill(i + 1, nxt, rows + [option])
-
-        fill(0, [0] * k, [])
-
-        for rows in matrices:
-            n = np.zeros((len(source), k + 1), dtype=np.int64)
-            n[:, 0] = coeff
-            for i, row in enumerate(rows):
-                n[i, 1:] = row
-            # Canonical column order: sort the non-vacuum columns.
-            order = sorted(range(k), key=lambda j: (rest_dims[j], tuple(n[:, j + 1])))
-            n_sorted = np.concatenate(
-                [n[:, :1]] + [n[:, j + 1 : j + 2] for j in order], axis=1
-            )
-            dims_sorted = (1,) + tuple(rest_dims[j] for j in order)
-            condensed = AnyonSystem(
-                labels=_condensed_labels(k),
-                dims=tuple(float(x) for x in dims_sorted),
-                vacuum="phi",
-            )
-            candidate = BranchingData(source, condensed, n_sorted)
-            if not validate_branching(candidate, tol).ok:
-                continue
-            key = canonical_matrix(candidate.n, dims_sorted, 0)
-            found.setdefault((k + 1,) + key, candidate)
-
-    ordered = sorted(found.items(), key=lambda kv: kv[0])
-    return [b for _, b in ordered]
+    keyed.sort(key=lambda kb: kb[0])
+    return [b for _, b in keyed]

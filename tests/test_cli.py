@@ -356,3 +356,68 @@ def test_global_flags_accepted_after_subcommand(capsys):
     code, out, _ = run(capsys, "entropy", "--catalog", "toric-1Y", "--state", "1/2,0,0,1/2", "--bits")
     assert code == 0
     assert json.loads(out)["log_base"] == "bits"
+
+
+# The command mix of this module, as argv lists for one shared parser:
+# global flags before and after the subcommand, a --bits parse followed by
+# plain ones, repeated and appended options.
+PARSER_MIX = [
+    ["validate", "--catalog", "toric-1Y"],
+    ["validate", "--catalog", "toric-1Y", "--catalog", "repS3-1X", "a.json", "b.json"],
+    ["validate", "/no/such/file.json"],
+    ["validate"],
+    ["entropy", "--catalog", "repS3-1Y", "--state", "1/2,0,1/2"],
+    ["--bits", "entropy", "--catalog", "toric-1Y", "--state", "1/2,0,0,1/2"],
+    ["entropy", "--catalog", "toric-1Y", "--state", "1,0,0,1e-10"],
+    ["entropy", "--catalog", "toric-1Y", "--state", "1/2,0,0,1/2", "--bits"],
+    ["entropy", "--catalog", "toric-1Y", "--state", "1/2,0,0,1/2"],
+    ["--tolerance", "1e-6", "entropy", "--branching", "f.json", "--state", "1,0"],
+    ["condense", "--catalog", "toric-1Y", "--state", "1/2,0,0,1/2"],
+    ["condense", "--branching", "b.json", "--state-file", "s.json"],
+    ["--grid-resolution", "2", "sweep", "--catalog", "toric-1Y"],
+    ["sweep", "--catalog", "toric-1Y", "--grid-resolution", "1"],
+    ["sweep", "--catalog", "toric-1Y"],
+    ["--output", "out.csv", "sweep", "--catalog", "repS3-1X", "--bits"],
+    ["enumerate", "--catalog", "toric-1Y", "--algebra", "1,1,0,0", "--max-sectors", "4",
+     "--max-dim", "2"],
+    ["enumerate", "--source", "s.json", "--algebra", "1,0,0,0"],
+    ["duality", "--catalog-a", "toric-1Y", "--catalog-b", "toric-1Z"],
+    ["duality", "--a", "a.json", "--b", "b.json", "--trials", "0", "--seed", "7"],
+    ["--seed", "3", "duality", "--a", "a.json", "--b", "b.json"],
+    ["duality", "--catalog-a", "toric-1Y", "--catalog-b", "toric-1Z", "--trials", "-1"],
+    ["catalog", "list"],
+    ["catalog", "show", "repS3-lagrangian"],
+    ["catalog", "show"],
+    ["--output", "out.json", "entropy", "--catalog", "z2-full", "--state", "1,0"],
+]
+
+
+def test_one_parser_parses_like_fresh_parsers():
+    shared = cli.build_parser()
+    for argv in PARSER_MIX + PARSER_MIX[::-1]:
+        assert vars(shared.parse_args(argv)) == vars(cli.build_parser().parse_args(argv)), argv
+    # A parse that fails part way leaves nothing behind either.
+    with pytest.raises(SystemExit):
+        shared.parse_args(["--bits", "enumerate", "--catalog", "toric-1Y"])
+    plain = ["entropy", "--catalog", "toric-1Y", "--state", "1,0,0,0"]
+    assert vars(shared.parse_args(plain)) == vars(cli.build_parser().parse_args(plain))
+    assert shared.parse_args(plain).bits is False
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built, build = [], cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, "--bits", "entropy", "--catalog", "toric-1Y", "--state", "1,0,0,0")[0] == 0
+        code, out, _ = run(capsys, "entropy", "--catalog", "toric-1Y", "--state", "1,0,0,0")
+    finally:
+        cli._parser.cache_clear()
+    assert code == 0
+    assert json.loads(out)["log_base"] == "natural"
+    assert len(built) == 1

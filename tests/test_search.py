@@ -1,12 +1,20 @@
-"""Enumeration of branchings, checked against the brute-force oracle."""
+"""Enumeration of branchings, checked against the brute-force oracle and
+the labelled search it replaced."""
+
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import anycond as ac
+from anycond import io as cio
+from anycond import search
 from anycond.catalog import rep_s3_system, toric_system
 
 from bruteforce_enumerator import brute_force_branchings, canonical_key
+from labelled_enumerator import labelled_branchings
 
 
 def _solver_keys(branchings):
@@ -145,3 +153,172 @@ def test_invariant_under_source_relabelling():
         return out
 
     assert keys_in_original_order(plain, source) == keys_in_original_order(permuted, relabelled)
+
+
+# --- orderly search against the labelled search ------------------------------
+
+
+def _assert_same_as_labelled(source, algebra, max_sectors, max_dim, tol=1e-9):
+    got = ac.enumerate_branchings(source, algebra, max_sectors, max_dim, tol)
+    want = labelled_branchings(source, algebra, max_sectors, max_dim, tol)
+    assert [cio.branching_to_dict(b) for b in got] == [cio.branching_to_dict(b) for b in want]
+    for b in got:
+        assert ac.validate_branching(b, tol).ok
+    return got
+
+
+def _algebras(source):
+    """Every vacuum column with 0 <= c_a <= d_a; the vacuum enters once."""
+    ranges = [
+        (1,) if i == source.vacuum_index else range(int(d) + 1)
+        for i, d in enumerate(source.dims)
+    ]
+    return [ac.CondensableAlgebra(source, c) for c in product(*ranges)]
+
+
+def _bosonic(algebra):
+    twist = algebra.system.twist
+    return all(
+        c == 0 or twist[a] == 0 for a, c in zip(algebra.system.labels, algebra.coefficients)
+    )
+
+
+@pytest.mark.parametrize("make", [toric_system, rep_s3_system], ids=["toric", "repS3"])
+@pytest.mark.parametrize("bounds", [(4, 2), (5, 3)])
+def test_every_boson_algebra_matches_the_labelled_search(make, bounds):
+    source = make()
+    found = 0
+    for algebra in filter(_bosonic, _algebras(source)):
+        found += len(_assert_same_as_labelled(source, algebra, *bounds))
+    assert found > 0
+
+
+def _plain(n, picked):
+    source = ac.AnyonSystem(tuple(str(i) for i in range(n)), (1.0,) * n, "0")
+    return source, ac.CondensableAlgebra(source, tuple(int(i in picked) for i in range(n)))
+
+
+@pytest.mark.parametrize(
+    "n, m, count", [(6, 2, 3), (6, 3, 1), (8, 2, 15), (9, 3, 10), (10, 2, 105)]
+)
+def test_plain_bench_shapes_match_the_labelled_search(n, m, count):
+    # The algebra sits on scattered labels, so canonical columns interleave.
+    source, algebra = _plain(n, {0, *range(n - 1, n - m, -1)})
+    assert len(_assert_same_as_labelled(source, algebra, n // m, 2)) == count
+
+
+MIXED_DIMS = {
+    f"{a}{b}": da * db
+    for a, da in (("1", 1), ("X", 1), ("Y", 2))
+    for b, db in (("1", 1), ("X", 1), ("Y", 2))
+}
+
+
+@pytest.mark.parametrize("order_seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "condensed, max_sectors",
+    [(("11", "1X", "X1", "XX"), 6), (("11", "1X", "X1", "XX"), 5), (("11", "XX"), 6)],
+)
+def test_mixed_bench_shape_matches_the_labelled_search(order_seed, condensed, max_sectors):
+    labels = sorted(MIXED_DIMS)
+    np.random.default_rng(order_seed).shuffle(labels)
+    source = ac.AnyonSystem(tuple(labels), tuple(float(MIXED_DIMS[x]) for x in labels), "11")
+    algebra = ac.CondensableAlgebra(source, tuple(int(x in condensed) for x in labels))
+    _assert_same_as_labelled(source, algebra, max_sectors, 2)
+
+
+@st.composite
+def integral_sources(draw):
+    size = draw(st.integers(1, 6))
+    dims = [1] + draw(st.lists(st.sampled_from([1, 2]), min_size=size - 1, max_size=size - 1))
+    labels = tuple(f"s{i}" for i in range(size))
+    twist = None
+    if draw(st.booleans()):
+        twist = {a: Fraction(draw(st.sampled_from([0, 0, 1, 2])), 4) for a in labels[1:]}
+    dual = None
+    if draw(st.booleans()):
+        # Any involution fixing the vacuum; one pairing sectors of different
+        # dims makes the source invalid.
+        rest = list(labels[1:])
+        dual = {labels[0]: labels[0]}
+        while rest:
+            a = rest.pop(0)
+            b = draw(st.sampled_from([a] + rest))
+            if b != a:
+                rest.remove(b)
+            dual[a], dual[b] = b, a
+    source = ac.AnyonSystem(labels, tuple(map(float, dims)), labels[0], dual, twist)
+    coeffs = (1,) + tuple(draw(st.lists(st.integers(0, 1), min_size=size - 1, max_size=size - 1)))
+    return source, ac.CondensableAlgebra(source, coeffs)
+
+
+@given(case=integral_sources(), max_sectors=st.integers(1, 5), max_dim=st.integers(1, 2))
+@settings(max_examples=150, deadline=None)
+def test_hypothesis_sources_match_the_labelled_search(case, max_sectors, max_dim):
+    source, algebra = case
+    _assert_same_as_labelled(source, algebra, max_sectors, max_dim)
+
+
+# --- what is checked once, before the search ----------------------------------
+
+
+def _near_integer_source(eps):
+    return ac.AnyonSystem(("1", "a", "b", "c", "e"), (1.0, 1.0) + (2.0 + eps,) * 3, "1")
+
+
+@pytest.mark.parametrize("eps, count", [(6e-10, 0), (0.0, 3)])
+def test_dims_integral_only_within_tolerance_keep_validation(eps, count):
+    # Float sums over d = 2 + 6e-10 put the index ratio 1e-9 off, so
+    # validation rejects every result; exact dims give three.
+    source = _near_integer_source(eps)
+    algebra = ac.CondensableAlgebra(source, (1, 1, 0, 0, 0))
+    assert len(_assert_same_as_labelled(source, algebra, 4, 2)) == count
+
+
+def test_invalid_source_gives_nothing():
+    source = toric_system()
+    broken = ac.AnyonSystem(
+        source.labels, source.dims, "1", dual={"1": "1", "Y": "X", "X": "X", "Z": "Z"}
+    )
+    assert not ac.validate_system(broken).ok
+    algebra = ac.CondensableAlgebra(broken, (1, 1, 0, 0))
+    assert ac.enumerate_branchings(broken, algebra, 4, 2) == []
+    assert labelled_branchings(broken, algebra, 4, 2) == []
+
+
+def test_zero_vacuum_dim_gives_nothing():
+    # The index is 0 here; the labelled search divided by it.
+    source = ac.AnyonSystem(("1", "a"), (0.0, 1.0), "1")
+    algebra = ac.CondensableAlgebra(source, (1, 0))
+    assert ac.enumerate_branchings(source, algebra, 2, 2) == []
+    with pytest.raises(ZeroDivisionError):
+        labelled_branchings(source, algebra, 2, 2)
+
+
+def test_non_boson_algebra_gives_nothing():
+    source = toric_system()
+    algebra = ac.CondensableAlgebra.from_labels(source, {"1": 1, "X": 1})
+    assert source.twist["X"] != 0
+    assert ac.enumerate_branchings(source, algebra, 4, 2) == []
+    assert labelled_branchings(source, algebra, 4, 2) == []
+
+
+def test_orderly_search_builds_one_branching_per_result_and_validates_none(monkeypatch):
+    calls = {"validate": 0, "build": 0}
+    validate, init = search.validate_branching, ac.BranchingData.__init__
+
+    def counted_validate(*args, **kwargs):
+        calls["validate"] += 1
+        return validate(*args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        calls["build"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(search, "validate_branching", counted_validate)
+    monkeypatch.setattr(ac.BranchingData, "__init__", counted_init)
+    source, algebra = _plain(10, {0, 7})
+    got = ac.enumerate_branchings(source, algebra, 5, 2)
+    # The labelled search built and validated 8!/2^4 = 2,520 candidates here.
+    assert len(got) == 105
+    assert calls == {"validate": 0, "build": 105}
