@@ -2,7 +2,8 @@
 
 Subcommands: validate, condense, entropy, sweep, enumerate, duality,
 catalog.  Outputs are JSON (reports) or CSV (sweeps), written to stdout or
-to --output; sweeps stream their rows as they are computed.  Exit codes:
+to --output; sweeps stream their rows as they are computed, and enumerate
+writes its results one at a time as they are encoded.  Exit codes:
 0 success, 1 domain failure (validation or bound violation), 2 usage or
 I/O trouble, including a reader that closed the output pipe early.
 """
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb
-from pathlib import Path
 
 import numpy as np
 
@@ -95,8 +95,7 @@ def _load_state(args, system: AnyonSystem) -> SectorState:
     if getattr(args, "state", None):
         rho = _parse_state_csv(args.state, system)
     elif getattr(args, "state_file", None):
-        data = json.loads(Path(args.state_file).read_text(encoding="utf-8"))
-        rho = cio.state_from_dict(data, system)
+        rho = cio.load_state(args.state_file, system)
     else:
         raise UsageError("provide --state P1,P2,... or --state-file FILE")
     # A state may sum to 1 +- 1e-9; left so, its order parameter can exceed
@@ -257,11 +256,9 @@ def cmd_enumerate(args, cfg: CliConfig) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    payload = {
-        "count": len(results),
-        "branchings": [cio.branching_to_dict(b) for b in results],
-    }
-    _emit_json(payload, cfg)
+    with _output(cfg) as out:
+        cio.dump_branchings(results, out)
+        out.write("\n")
     return 0
 
 

@@ -84,9 +84,8 @@ def apply_permutation(duality: PermutationDuality, rho: SectorState) -> SectorSt
     sigma(a) is the old weight of a."""
     system = rho.system
     _check_label_bijection(duality.source_perm, system, system, DEFAULT_TOL, "source_perm")
-    out = np.zeros_like(rho.probs)
-    for a, image in duality.source_perm.items():
-        out[system.index(image)] = rho.probs[system.index(a)]
+    out = np.empty_like(rho.probs)
+    out[[system.index(duality.source_perm[a]) for a in system.labels]] = rho.probs
     return SectorState(system, out)
 
 

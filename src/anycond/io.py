@@ -116,8 +116,50 @@ def branching_to_dict(b: BranchingData) -> dict:
         "schema_version": SCHEMA_VERSION,
         "source": system_to_dict(b.source),
         "condensed": system_to_dict(b.condensed),
-        "n": [[int(x) for x in row] for row in b.n],
+        "n": b.n.tolist(),
     }
+
+
+def _branchings_chunks(results: list[BranchingData]):
+    # The text of json.dumps({"count", "branchings"}, indent=2), one result
+    # at a time.  The results share a few system objects; each is encoded
+    # once and re-indented to its depth: JSON escapes every newline inside
+    # a string, so a literal one is layout.
+    systems: dict[int, str] = {}
+
+    def system_text(system: AnyonSystem) -> str:
+        key = id(system)  # results keeps every system alive
+        if key not in systems:
+            text = json.dumps(system_to_dict(system), indent=2)
+            systems[key] = text.replace("\n", "\n      ")
+        return systems[key]
+
+    yield f'{{\n  "count": {len(results)},\n  "branchings": ['
+    separator = "\n"
+    for b in results:
+        rows = ",\n        ".join(
+            "[\n          " + ",\n          ".join(map(str, row)) + "\n        ]"
+            for row in b.n.tolist()
+        )
+        yield (
+            f'{separator}    {{\n      "schema_version": {SCHEMA_VERSION},'
+            f'\n      "source": {system_text(b.source)},'
+            f'\n      "condensed": {system_text(b.condensed)},'
+            f'\n      "n": [\n        {rows}\n      ]\n    }}'
+        )
+        separator = ",\n"
+    yield "\n  ]\n}" if results else "]\n}"
+
+
+def dumps_branchings(results: list[BranchingData]) -> str:
+    """``json.dumps({"count": ..., "branchings": [...]}, indent=2)`` of the
+    results, byte for byte, without building their dicts."""
+    return "".join(_branchings_chunks(results))
+
+
+def dump_branchings(results: list[BranchingData], fh):
+    """Write :func:`dumps_branchings` to ``fh`` as it is produced."""
+    fh.writelines(_branchings_chunks(results))
 
 
 def branching_from_dict(data, path: str = "") -> BranchingData:
@@ -197,17 +239,31 @@ def dumps(value: Document) -> str:
     return json.dumps(to_dict(value), indent=2)
 
 
-def loads(text: str) -> Document:
+def _parse(text: str):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("", f"invalid JSON: {exc}") from None
-    return from_dict(data)
+
+
+def loads(text: str) -> Document:
+    return from_dict(_parse(text))
 
 
 def save(value: Document, path: str | Path):
     Path(path).write_text(dumps(value) + "\n", encoding="utf-8")
 
 
+def _read(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError("", f"not UTF-8 text: {exc}") from None
+
+
 def load(path: str | Path) -> Document:
-    return loads(Path(path).read_text(encoding="utf-8"))
+    return loads(_read(path))
+
+
+def load_state(path: str | Path, system: AnyonSystem) -> SectorState:
+    return state_from_dict(_parse(_read(path)), system)

@@ -117,6 +117,34 @@ def test_condense_from_files(capsys, tmp_path):
     assert payload["restricted"] == [0.0, 0.5, 0.5]
 
 
+
+@pytest.mark.parametrize("command", ["entropy", "condense"])
+def test_state_file_that_is_not_json_is_a_usage_error(capsys, tmp_path, command):
+    path = tmp_path / "bad.json"
+    path.write_text("{bad")
+    code, out, err = run(capsys, command, "--catalog", "toric-1Y", "--state-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid JSON")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--catalog", "toric-1Y", "--state-file"],
+        ["condense", "--catalog", "toric-1Y", "--state-file"],
+        ["validate"],
+        ["enumerate", "--algebra", "1", "--source"],
+    ],
+)
+def test_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: not UTF-8 text")
+
 def test_sweep_resolution_two_has_ten_rows_and_footer(capsys):
     code, out, _ = run(capsys, "--grid-resolution", "2", "sweep", "--catalog", "toric-1Y")
     assert code == 0
