@@ -40,7 +40,7 @@ from .channels import (
 from .duality import find_dualities, verify_duality
 from .entropy import order_parameter, order_parameter_rows
 from .search import enumerate_branchings
-from .systems import AnyonSystem, validate_system
+from .systems import AnyonSystem, ValidationReport, validate_system
 
 GRID_POINT_CAP = 10**7
 # Grid points evaluated, and CSV rows written, per step of a sweep; memory
@@ -69,9 +69,12 @@ def _parse_state_csv(text: str, system: AnyonSystem) -> SectorState:
     # Accepts exact rationals like 1/3 so golden values hit exactly.
     parts = [p.strip() for p in text.split(",")]
     try:
-        probs = [float(Fraction(p)) for p in parts]
+        # Each distinct entry is parsed once, in order, so an error names
+        # the first bad one.
+        value = {p: float(Fraction(p)) for p in dict.fromkeys(parts)}
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse state {text!r}: {exc}") from None
+    probs = [value[p] for p in parts]
     if len(probs) != len(system):
         raise UsageError(f"state has {len(probs)} entries, system has {len(system)}")
     try:
@@ -121,7 +124,7 @@ def _emit_json(payload, cfg: CliConfig):
     _emit(json.dumps(payload, indent=2), cfg)
 
 
-def _require_valid(b: BranchingData, cfg: CliConfig) -> bool:
+def _branching_report(b: BranchingData, cfg: CliConfig) -> ValidationReport:
     # Validation reads --tolerance, but compiling checks the dimension
     # constraints at its own fixed 1e-9, so a branching may pass one and
     # fail the other; both failures get the same report.
@@ -131,6 +134,11 @@ def _require_valid(b: BranchingData, cfg: CliConfig) -> bool:
             condensation(b)
         except NotCondensableError as exc:
             report = dataclasses.replace(report, violations=exc.violations)
+    return report
+
+
+def _require_valid(b: BranchingData, cfg: CliConfig) -> bool:
+    report = _branching_report(b, cfg)
     if not report.ok:
         _emit_json({"error": "branching data is not condensable", **report.as_dict()}, cfg)
         return False
@@ -149,7 +157,7 @@ def cmd_validate(args, cfg: CliConfig) -> int:
     all_ok = True
     for name, doc in targets:
         if isinstance(doc, BranchingData):
-            report = validate_branching(doc, cfg.tolerance)
+            report = _branching_report(doc, cfg)
         else:
             report = validate_system(doc, cfg.tolerance)
         reports.append({"target": name, **report.as_dict()})

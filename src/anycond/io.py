@@ -9,6 +9,7 @@ strings such as "1/2").
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Union
@@ -32,6 +33,10 @@ class SchemaError(ValueError):
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_finite_number(x) -> bool:
+    return _is_number(x) and (isinstance(x, int) or math.isfinite(x))
 
 
 def _check_version(data: dict, path: str):
@@ -100,11 +105,16 @@ def system_from_dict(data, path: str = "") -> AnyonSystem:
         if not isinstance(raw, dict):
             raise SchemaError(f"{path}twist", "expected an object mapping labels to fractions")
         twist = {}
+        parsed = {}  # each distinct value is parsed once
         for k, v in raw.items():
-            try:
-                twist[k] = Fraction(v)
-            except (ValueError, TypeError, ZeroDivisionError):
-                raise SchemaError(f"{path}twist.{k}", f"not a fraction: {v!r}") from None
+            if not (isinstance(v, str) or _is_finite_number(v)):
+                raise SchemaError(f"{path}twist.{k}", f"not a fraction: {v!r}")
+            if v not in parsed:
+                try:
+                    parsed[v] = Fraction(v)
+                except (ValueError, ZeroDivisionError):
+                    raise SchemaError(f"{path}twist.{k}", f"not a fraction: {v!r}") from None
+            twist[k] = parsed[v]
     try:
         return AnyonSystem(tuple(labels), tuple(dims), data["vacuum"], dual, twist)
     except ValueError as exc:
@@ -203,12 +213,15 @@ def state_from_dict(data, system: AnyonSystem, path: str = "") -> SectorState:
     if not isinstance(raw, list):
         raise SchemaError(f"{path}probs", "expected a list")
     probs = []
+    parsed = {}  # each distinct string is parsed once
     for i, x in enumerate(raw):
         if isinstance(x, str):
-            try:
-                probs.append(float(Fraction(x)))
-            except (ValueError, ZeroDivisionError):
-                raise SchemaError(f"{path}probs[{i}]", f"not a number: {x!r}") from None
+            if x not in parsed:
+                try:
+                    parsed[x] = float(Fraction(x))
+                except (ValueError, ZeroDivisionError):
+                    raise SchemaError(f"{path}probs[{i}]", f"not a number: {x!r}") from None
+            probs.append(parsed[x])
         elif _is_number(x):
             probs.append(float(x))
         else:

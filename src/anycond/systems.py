@@ -13,6 +13,7 @@ probability vector elsewhere in the package indexes sectors by this order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -58,8 +59,10 @@ class ValidationReport:
 
 def _normalize_twist(value) -> Fraction:
     # Twists are rational fractions of a full turn, reduced mod 1 so that
-    # the trivial twist is exactly Fraction(0).
-    return Fraction(value) % 1
+    # the trivial twist is exactly Fraction(0).  A Fraction already in
+    # [0, 1) is kept as it is: Fractions are immutable and always reduced.
+    twist = value if isinstance(value, Fraction) else Fraction(value)
+    return twist if 0 <= twist.numerator < twist.denominator else twist % 1
 
 
 @dataclass(frozen=True)
@@ -93,9 +96,11 @@ class AnyonSystem:
     def __post_init__(self):
         labels = tuple(str(x) for x in self.labels)
         dims = tuple(float(d) for d in self.dims)
+        position = {label: i for i, label in enumerate(labels)}
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", dims)
-        if len(set(labels)) != len(labels):
+        object.__setattr__(self, "_position", position)
+        if len(position) != len(labels):
             raise ValueError("sector labels must be unique")
         if len(dims) != len(labels):
             raise ValueError(f"got {len(dims)} dims for {len(labels)} labels")
@@ -103,13 +108,13 @@ class AnyonSystem:
             raise ValueError(f"vacuum label {self.vacuum!r} is not a sector")
         if self.dual is not None:
             dual = {str(k): str(v) for k, v in self.dual.items()}
-            unknown = (set(dual) | set(dual.values())) - set(labels)
+            unknown = (dual.keys() | set(dual.values())) - position.keys()
             if unknown:
                 raise ValueError(f"dual map references unknown labels {sorted(unknown)}")
             object.__setattr__(self, "dual", dual)
         if self.twist is not None:
             twist = {str(k): _normalize_twist(v) for k, v in self.twist.items()}
-            unknown = set(twist) - set(labels)
+            unknown = twist.keys() - position.keys()
             if unknown:
                 raise ValueError(f"twist data references unknown labels {sorted(unknown)}")
             object.__setattr__(self, "twist", twist)
@@ -118,7 +123,10 @@ class AnyonSystem:
         return len(self.labels)
 
     def index(self, label: str) -> int:
-        return self.labels.index(label)
+        try:
+            return self._position[label]
+        except KeyError:
+            raise ValueError(f"{label!r} is not a sector") from None
 
     def dim_of(self, label: str) -> float:
         return self.dims[self.index(label)]
@@ -154,11 +162,12 @@ def validate_system(system: AnyonSystem, tol: float = DEFAULT_TOL) -> Validation
         if not label:
             bad.append(Violation("label-empty", "empty sector label"))
 
-    d_vac = system.dim_of(system.vacuum)
+    dims, position = system.dims, system._position
+    d_vac = dims[position[system.vacuum]]
     if abs(d_vac - 1.0) > tol:
         bad.append(Violation("vacuum-dim", f"vacuum dimension != 1 (got {d_vac!r})"))
-    for label, d in zip(system.labels, system.dims):
-        if not np.isfinite(d) or d < 1.0 - tol:
+    for label, d in zip(system.labels, dims):
+        if not math.isfinite(d) or d < 1.0 - tol:
             bad.append(Violation("dim-range", f"dim of {label!r} is {d!r}, below 1"))
 
     if system.dual is None:
@@ -170,7 +179,7 @@ def validate_system(system: AnyonSystem, tol: float = DEFAULT_TOL) -> Validation
         for a, abar in system.dual.items():
             if system.dual.get(abar) != a:
                 bad.append(Violation("dual-involution", f"dual(dual({a!r})) != {a!r}"))
-            if abs(system.dim_of(abar) - system.dim_of(a)) > tol:
+            if abs(dims[position[abar]] - dims[position[a]]) > tol:
                 bad.append(Violation("dual-dim", f"dim of {abar!r} differs from dim of {a!r}"))
         if system.dual.get(system.vacuum) != system.vacuum:
             bad.append(Violation("dual-vacuum", "dual does not fix the vacuum"))
@@ -178,7 +187,7 @@ def validate_system(system: AnyonSystem, tol: float = DEFAULT_TOL) -> Validation
     if system.twist is None:
         unchecked.append("twist-structure")
     else:
-        vac_twist = system.twist.get(system.vacuum, Fraction(0))
+        vac_twist = system.twist.get(system.vacuum, 0)
         if vac_twist != 0:
             bad.append(Violation("twist-vacuum", f"vacuum twist is {vac_twist}, not trivial"))
 

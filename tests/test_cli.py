@@ -449,3 +449,33 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["log_base"] == "natural"
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("value", ["true", "Infinity", "-Infinity", "NaN"])
+def test_twist_that_is_a_bool_or_not_finite_is_a_usage_error(capsys, tmp_path, value):
+    text = cio.dumps(ac.entry("toric-1Y").branching).replace('"X": "1/2"', f'"X": {value}')
+    assert value in text
+    path = tmp_path / "twist.json"
+    path.write_text(text)
+    for argv in (["validate", str(path)], ["entropy", "--branching", str(path), "--state", "1,0,0,0"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: source.twist.X: not a fraction")
+
+
+def test_validate_reports_what_the_other_commands_report(capsys, tmp_path):
+    # Valid at --tolerance 1e-6 but not compilable: validate used to print
+    # "ok": true and exit 0 here, while entropy exited 1.
+    path = _toric_off_by_1e7(tmp_path)
+    code, out, _ = run(capsys, "--tolerance", "1e-6", "validate", path)
+    assert code == 1
+    [report] = json.loads(out)
+    code, out, _ = run(
+        capsys, "--tolerance", "1e-6", "entropy", "--branching", path, "--state", "1,0,0,0"
+    )
+    assert code == 1
+    _assert_not_condensable(out, ["dim-restriction"])
+    rejected = json.loads(out)
+    del rejected["error"]
+    assert report == {"target": path, **rejected}

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import anycond as ac
 from anycond import io as cio
-from anycond.catalog import rep_s3_system, toric_system
+from anycond.catalog import rep_s3_system, toric_system, zn_system
 from anycond.cli import main
 
 
@@ -269,3 +269,36 @@ def test_enumerate_cli_prints_json_dumps_text(capsys, tmp_path, argv):
     path = tmp_path / "out.json"
     assert main(["--output", str(path), "enumerate", *argv]) == 0
     assert path.read_text(encoding="utf-8") == want
+
+
+@pytest.mark.parametrize("value", [True, False, float("inf"), float("-inf"), float("nan")])
+def test_twist_that_is_a_bool_or_not_finite_is_rejected(value):
+    # A bool would read as twist 1 or 0, and an infinite one ended in an
+    # OverflowError, not a SchemaError.
+    doc = cio.system_to_dict(toric_system())
+    doc["twist"]["X"] = value
+    with pytest.raises(cio.SchemaError) as err:
+        cio.system_from_dict(doc)
+    assert err.value.field == "twist.X"
+    branching = cio.branching_to_dict(ac.entry("toric-1Y").branching)
+    branching["source"] = doc
+    with pytest.raises(cio.SchemaError) as err:
+        cio.branching_from_dict(branching)
+    assert err.value.field == "source.twist.X"
+
+
+def test_twist_values_may_be_integers_or_fraction_strings():
+    doc = cio.system_to_dict(toric_system())
+    doc["twist"] = {"1": 0, "Y": "3/2", "X": "1/2", "Z": -1}
+    system = cio.system_from_dict(doc)
+    assert system.twist == {"1": 0, "Y": Fraction(1, 2), "X": Fraction(1, 2), "Z": 0}
+
+
+def test_state_from_dict_parses_repeated_strings_alike():
+    system = zn_system(6)
+    raw = ["1/6", "0", "1/6", "1/3", "0", "1/3"]
+    state = cio.state_from_dict({"probs": raw}, system)
+    assert state.probs.tolist() == [float(Fraction(x)) for x in raw]
+    with pytest.raises(cio.SchemaError) as err:
+        cio.state_from_dict({"probs": ["1/2", "x", "1/2", "x", 0, 0]}, system)
+    assert err.value.field == "probs[1]"

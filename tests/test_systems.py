@@ -72,6 +72,10 @@ def test_twists_are_reduced_mod_full_turns():
     assert sys_.twist["1"] == 0
     assert sys_.twist["a"] == Fraction(1, 2)
     assert ac.validate_system(sys_).ok
+    raw = {"1": 0, "a": Fraction(1, 3), "b": Fraction(-1, 3), "c": 2, "d": "7/4", "e": -1}
+    sys_ = ac.AnyonSystem(tuple(raw), (1.0,) * 6, "1", twist=raw)
+    assert sys_.twist == {"1": 0, "a": Fraction(1, 3), "b": Fraction(2, 3), "c": 0, "d": Fraction(3, 4), "e": 0}
+    assert all(type(t) is Fraction for t in sys_.twist.values())
 
 
 def test_missing_optional_data_is_unchecked_not_passed():
@@ -142,3 +146,15 @@ def test_dim_helpers():
     assert system.dim_of("Y") == 1.0
     assert np.array_equal(system.dim_array, np.ones(4))
     assert system.is_integral()
+
+
+def test_index_of_an_unknown_label_names_it():
+    system = toric_system()
+    with pytest.raises(ValueError, match="'Q' is not a sector"):
+        system.index("Q")
+    with pytest.raises(ValueError, match="'Q' is not a sector"):
+        system.dim_of("Q")
+    with pytest.raises(ValueError, match="'Q' is not a sector"):
+        ac.CondensableAlgebra.from_labels(system, {"Q": 1})
+    assert [system.index(label) for label in system.labels] == [0, 1, 2, 3]
+    assert system.vacuum_index == 0
