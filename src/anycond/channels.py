@@ -18,14 +18,16 @@ rows of probabilities with them, on a single state or on a stack of states
 at once; the public functions taking :class:`SectorState` are that product
 on one row, validated at the boundary.
 
-The same channels are realised as explicit Kraus matrices on the block
-space spanned by the source and condensed labels together, and the module
-ships executable verifications of the projector property of the restriction
-channel (idempotence of the round trip) and of its bimodule property with
-respect to lifted condensed operators.  The conditional expectation is a
-projector at the operator level; on sector distributions the round trip is
-idempotent only when restrict(lift(.)) fixes the image of restrict (see
-:func:`verify_idempotence`).
+The same channels are realised as explicit Kraus matrices, every set built
+by one builder over the channel list (the pairs (a, t) with n[a, t] > 0)
+from the two compiled matrices: on the block space of the source and
+condensed labels together, or on the channel-resolved basis with one vector
+per copy of each channel.  The module ships executable verifications of the
+projector property of the restriction channel (idempotence of the round
+trip) and of its bimodule property with respect to lifted condensed
+operators.  The conditional expectation is a projector at the operator
+level; on sector distributions the round trip is idempotent only when
+restrict(lift(.)) fixes the image of restrict (see :func:`verify_idempotence`).
 """
 
 from __future__ import annotations
@@ -229,15 +231,20 @@ def lift_coarse(b: BranchingData, rho: SectorState) -> SectorState:
 
 
 # ---------------------------------------------------------------------------
-# Explicit Kraus matrices on the block space indexed by source + condensed
-# labels, one basis vector per label.  The matrix unit |t><a| realises the
-# partial isometry sending sector a to sector t.
+# Explicit Kraus matrices on a block space: one basis vector per source-side
+# entry, then one per condensed sector.  The matrix unit |t><a| realises the
+# partial isometry sending sector a to sector t.  On the label-level basis
+# the source-side entries are the source sectors.  On the channel-resolved
+# basis they are the channel copies (a, t, copy), n[a, t] of each pair; there
+# Lambda[t, a] @ Lambda[a, s] = delta_ts * Pi_t holds exactly, which the
+# label-level basis cannot host once a sector splits into several condensed
+# channels.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Explicit channel matrices on the combined source + condensed basis.
+    """Explicit channel matrices on a combined source + condensed basis.
 
     ``direction`` is "restriction" (one operator per source sector, jointly
     satisfying sum_a K_a^dag K_a = identity on the source block) or
@@ -251,15 +258,7 @@ class KrausSet:
 
     @property
     def block_dim(self) -> int:
-        return len(self.branching.source) + len(self.branching.condensed)
-
-    @property
-    def source_slice(self) -> slice:
-        return slice(0, len(self.branching.source))
-
-    @property
-    def condensed_slice(self) -> slice:
-        return slice(len(self.branching.source), self.block_dim)
+        return self.operators[0].shape[0]
 
     def apply(self, mat: np.ndarray) -> np.ndarray:
         """sum_i K_i @ mat @ K_i^dag."""
@@ -269,50 +268,67 @@ class KrausSet:
         return out
 
 
-def _kraus_operators(b: BranchingData, dim: int, entries) -> tuple[np.ndarray, ...]:
-    """One read-only matrix per source sector from ``(sector, row, column,
-    weight)`` entries of the compiled channels; each weight enters as its
-    square root."""
+def _channels(b: BranchingData, resolved: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Source and condensed index of each channel: one per pair (a, t) with
+    n[a, t] > 0, or, channel-resolved, n[a, t] copies of each pair."""
+    i, j = np.nonzero(b.n)
+    if resolved:
+        copies = b.n[i, j]
+        i, j = np.repeat(i, copies), np.repeat(j, copies)
+    return i, j
+
+
+def _kraus_set(b: BranchingData, direction: str, resolved: bool = False) -> KrausSet:
+    """One read-only matrix per source sector a, holding the square root of
+    each weight of the compiled channel at its matrix unit: restriction
+    sends the source-side vector of a channel (a, t) to t, lifting sends t
+    back.  A channel copy carries 1 / n[a, t] of its pair's weight, so the
+    copies of a pair add up to the label-level channel."""
+    i, j = _channels(b, resolved)
+    if resolved:
+        source_side, offset, copies = np.arange(len(i)), len(i), b.n[i, j]
+    else:
+        source_side, offset, copies = i, len(b.source), 1
+    compiled, dim = condensation(b), offset + len(b.condensed)
     ops = np.zeros((len(b.source), dim, dim), dtype=complex)
-    for i, row, col, weight in entries:
-        ops[i, row, col] = np.sqrt(weight)
+    if direction == "restriction":
+        ops[i, offset + j, source_side] = np.sqrt(compiled.restriction[i, j] / copies)
+    else:
+        ops[i, source_side, offset + j] = np.sqrt(compiled.lifting[j, i] / copies)
     ops.setflags(write=False)
-    return tuple(ops)
+    return KrausSet(b, tuple(ops), direction)
 
 
 def kraus_restriction(b: BranchingData) -> KrausSet:
     """One matrix per source sector a, with entry sqrt(n[a,t] * d_t / d_a)
     sending basis vector a to basis vector t."""
-    r, na = condensation(b).restriction, len(b.source)
-    entries = ((i, na + j, i, r[i, j]) for i, j in zip(*np.nonzero(b.n)))
-    return KrausSet(b, _kraus_operators(b, na + len(b.condensed), entries), "restriction")
+    return _kraus_set(b, "restriction")
 
 
 def kraus_lifting(b: BranchingData) -> KrausSet:
     """One matrix per source sector a, with entry
     sqrt(n[a,t] * d_a / (lam * d_t)) sending basis vector t to basis vector a."""
-    lifting, na = condensation(b).lifting, len(b.source)
-    entries = ((i, i, na + j, lifting[j, i]) for i, j in zip(*np.nonzero(b.n)))
-    return KrausSet(b, _kraus_operators(b, na + len(b.condensed), entries), "lifting")
+    return _kraus_set(b, "lifting")
+
+
+def _diagonal(values: np.ndarray, dim: int, start: int) -> np.ndarray:
+    """The dim x dim matrix with ``values`` on its diagonal from ``start``."""
+    mat = np.zeros((dim, dim), dtype=complex)
+    k = np.arange(start, start + len(values))
+    mat[k, k] = values
+    return mat
 
 
 def embed_source(b: BranchingData, rho: SectorState) -> np.ndarray:
     """Diagonal embedding of a source state into the block space."""
     _require_source(b, rho)
-    dim = len(b.source) + len(b.condensed)
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[: len(b.source), : len(b.source)] = np.diag(rho.probs)
-    return mat
+    return _diagonal(rho.probs, len(b.source) + len(b.condensed), 0)
 
 
 def embed_condensed(b: BranchingData, sigma: SectorState) -> np.ndarray:
     """Diagonal embedding of a condensed state into the block space."""
     _require_condensed(b, sigma)
-    na = len(b.source)
-    dim = na + len(b.condensed)
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[na:, na:] = np.diag(sigma.probs)
-    return mat
+    return _diagonal(sigma.probs, len(b.source) + len(b.condensed), len(b.source))
 
 
 def condensed_block_probs(b: BranchingData, mat: np.ndarray) -> np.ndarray:
@@ -333,9 +349,9 @@ def kraus_invariant_residual(ks: KrausSet) -> float:
         acc = np.zeros((ks.block_dim, ks.block_dim), dtype=complex)
         for k in ks.operators:
             acc += k.conj().T @ k
+        na = len(ks.branching.source)
         want = np.zeros_like(acc)
-        s = ks.source_slice
-        want[s, s] = np.eye(len(ks.branching.source))
+        want[:na, :na] = np.eye(na)
         return float(np.max(np.abs(acc - want)))
     total = sum(np.trace(k @ k.conj().T).real for k in ks.operators)
     return float(abs(total - len(ks.branching.condensed)))
@@ -364,42 +380,6 @@ def verify_idempotence(b: BranchingData, rho: SectorState) -> float:
     return float(np.max(np.abs(twice.probs - once.probs)))
 
 
-# ---------------------------------------------------------------------------
-# Bimodule property.  The label-level block space cannot host the condensed
-# algebra as a subalgebra once a sector splits into several condensed
-# channels, so the verification runs in the channel-resolved basis: each
-# source sector a is refined into one basis vector per condensed channel
-# (a, t, copy), on which the partial isometries satisfy the composition rule
-# Lambda[t, a] @ Lambda[a, s] = delta_ts * Pi_t exactly.  A condensed
-# diagonal operator lifts to the source side by acting with its coefficient
-# c_t on every (a, t, copy) channel, which is the operator image of the
-# sector-level lift t -> sum_a n[a, t] * a.
-# ---------------------------------------------------------------------------
-
-
-def _channel_basis(b: BranchingData) -> list[tuple[int, int]]:
-    """One entry (source index, condensed index) per channel copy."""
-    edges = []
-    for i in range(len(b.source)):
-        for j in range(len(b.condensed)):
-            edges.extend([(i, j)] * int(b.n[i, j]))
-    return edges
-
-
-def _channel_restriction_kraus(b: BranchingData) -> tuple[np.ndarray, ...]:
-    """Restriction Kraus matrices on the channel-resolved basis.
-
-    The basis lists every channel copy first, then one vector per condensed
-    sector.  Operator a carries amplitude sqrt(d_t / d_a) from each channel
-    (a, t, copy) to the condensed vector t; summing the n[a, t] copies
-    reproduces the weight n[a, t] * d_t / d_a of the label-level channel.
-    """
-    r, edges = condensation(b).restriction, _channel_basis(b)
-    ne = len(edges)
-    entries = ((i, ne + j, e, r[i, j] / b.n[i, j]) for e, (i, j) in enumerate(edges))
-    return _kraus_operators(b, ne + len(b.condensed), entries)
-
-
 def verify_bimodule(
     b: BranchingData,
     p: DiagonalOperator,
@@ -410,34 +390,24 @@ def verify_bimodule(
 
     ``p`` and ``q`` are diagonal operators over the condensed system, ``m``
     over the source.  The left side is evaluated by explicit matrix algebra
-    in the channel-resolved basis (lifted operators act channelwise, the
-    restriction acts by its Kraus matrices); the right side multiplies the
-    restricted coefficients m_t = sum_a n[a, t] * (d_t / d_a) * m_a by p_t
-    and q_t.  Off-diagonal leakage on the condensed block counts towards
-    the residual.
+    in the channel-resolved basis: a lifted condensed operator acts with its
+    coefficient c_t on every channel copy (a, t, copy), the operator image of
+    the sector-level lift t -> sum_a n[a, t] * a, and the restriction acts by
+    its Kraus matrices.  The right side multiplies the restricted
+    coefficients m_t = sum_a n[a, t] * (d_t / d_a) * m_a by p_t and q_t.
+    Off-diagonal leakage on the condensed block counts towards the residual.
     """
     if p.system != b.condensed or q.system != b.condensed:
         raise SystemMismatchError("p and q must be diagonal operators over the condensed system")
     if m.system != b.source:
         raise SystemMismatchError("m must be a diagonal operator over the source system")
 
-    edges = _channel_basis(b)
-    ne, nt = len(edges), len(b.condensed)
-    dim = ne + nt
-
-    sandwich = np.zeros((dim, dim), dtype=complex)
-    for e, (i, j) in enumerate(edges):
-        sandwich[e, e] = p.coeffs[j] * m.coeffs[i] * q.coeffs[j]
-
-    out = np.zeros((dim, dim), dtype=complex)
-    for k in _channel_restriction_kraus(b):
-        out += k @ sandwich @ k.conj().T
+    i, j = _channels(b, resolved=True)
+    ks = _kraus_set(b, "restriction", resolved=True)
+    sandwich = _diagonal(p.coeffs[j] * m.coeffs[i] * q.coeffs[j], ks.block_dim, 0)
+    out = ks.apply(sandwich)
 
     want = p.coeffs * condensation(b).restrict(m.coeffs) * q.coeffs
-
-    got = np.diag(out)[ne:].real
-    residual = float(np.max(np.abs(got - want)))
-    off_diag = out.copy()
-    np.fill_diagonal(off_diag, 0.0)
-    leakage = float(np.max(np.abs(off_diag))) if dim else 0.0
-    return max(residual, leakage)
+    residual = float(np.max(np.abs(np.diag(out)[len(i) :].real - want)))
+    np.fill_diagonal(out, 0.0)
+    return max(residual, float(np.max(np.abs(out))))

@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb
@@ -48,19 +47,6 @@ GRID_POINT_CAP = 10**7
 SWEEP_CHUNK = 1024
 
 
-@dataclass
-class CliConfig:
-    tolerance: float = 1e-9
-    log_base: str = "natural"
-    grid_resolution: int = 50
-    output_path: str | None = None
-    seed: int = 0
-
-    @property
-    def bits(self) -> bool:
-        return self.log_base == "bits"
-
-
 class UsageError(Exception):
     pass
 
@@ -72,7 +58,7 @@ def _parse_state_csv(text: str, system: AnyonSystem) -> SectorState:
         # Each distinct entry is parsed once, in order, so an error names
         # the first bad one.
         value = {p: float(Fraction(p)) for p in dict.fromkeys(parts)}
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise UsageError(f"cannot parse state {text!r}: {exc}") from None
     probs = [value[p] for p in parts]
     if len(probs) != len(system):
@@ -107,28 +93,28 @@ def _load_state(args, system: AnyonSystem) -> SectorState:
 
 
 @contextmanager
-def _output(cfg: CliConfig):
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
+def _output(args):
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             yield fh
     else:
         yield sys.stdout
 
 
-def _emit(text: str, cfg: CliConfig):
-    with _output(cfg) as out:
+def _emit(text: str, args):
+    with _output(args) as out:
         out.write(text + "\n")
 
 
-def _emit_json(payload, cfg: CliConfig):
-    _emit(json.dumps(payload, indent=2), cfg)
+def _emit_json(payload, args):
+    _emit(json.dumps(payload, indent=2), args)
 
 
-def _branching_report(b: BranchingData, cfg: CliConfig) -> ValidationReport:
+def _branching_report(b: BranchingData, args) -> ValidationReport:
     # Validation reads --tolerance, but compiling checks the dimension
     # constraints at its own fixed 1e-9, so a branching may pass one and
     # fail the other; both failures get the same report.
-    report = validate_branching(b, cfg.tolerance)
+    report = validate_branching(b, args.tolerance)
     if report.ok:
         try:
             condensation(b)
@@ -137,15 +123,15 @@ def _branching_report(b: BranchingData, cfg: CliConfig) -> ValidationReport:
     return report
 
 
-def _require_valid(b: BranchingData, cfg: CliConfig) -> bool:
-    report = _branching_report(b, cfg)
+def _require_valid(b: BranchingData, args) -> bool:
+    report = _branching_report(b, args)
     if not report.ok:
-        _emit_json({"error": "branching data is not condensable", **report.as_dict()}, cfg)
+        _emit_json({"error": "branching data is not condensable", **report.as_dict()}, args)
         return False
     return True
 
 
-def cmd_validate(args, cfg: CliConfig) -> int:
+def cmd_validate(args) -> int:
     targets: list[tuple[str, AnyonSystem | BranchingData]] = []
     for entry_id in args.catalog or []:
         targets.append((entry_id, entry(entry_id).branching))
@@ -157,18 +143,18 @@ def cmd_validate(args, cfg: CliConfig) -> int:
     all_ok = True
     for name, doc in targets:
         if isinstance(doc, BranchingData):
-            report = _branching_report(doc, cfg)
+            report = _branching_report(doc, args)
         else:
-            report = validate_system(doc, cfg.tolerance)
+            report = validate_system(doc, args.tolerance)
         reports.append({"target": name, **report.as_dict()})
         all_ok = all_ok and report.ok
-    _emit_json(reports, cfg)
+    _emit_json(reports, args)
     return 0 if all_ok else 1
 
 
-def cmd_condense(args, cfg: CliConfig) -> int:
+def cmd_condense(args) -> int:
     b = _load_branching(args)
-    if not _require_valid(b, cfg):
+    if not _require_valid(b, args):
         return 1
     rho = _load_state(args, b.source)
     restricted = restrict(b, rho)
@@ -184,18 +170,18 @@ def cmd_condense(args, cfg: CliConfig) -> int:
             "lifted_sum": abs(float(lifted.probs.sum()) - 1.0),
         },
     }
-    _emit_json(payload, cfg)
+    _emit_json(payload, args)
     return 0
 
 
-def cmd_entropy(args, cfg: CliConfig) -> int:
+def cmd_entropy(args) -> int:
     b = _load_branching(args)
-    if not _require_valid(b, cfg):
+    if not _require_valid(b, args):
         return 1
     rho = _load_state(args, b.source)
-    report = order_parameter(b, rho, bits=cfg.bits)
-    _emit_json(report.as_dict(labels=b.source.labels), cfg)
-    if report.order_parameter > report.bound + cfg.tolerance:
+    report = order_parameter(b, rho, bits=args.bits)
+    _emit_json(report.as_dict(labels=b.source.labels), args)
+    if report.order_parameter > report.bound + args.tolerance:
         return 1
     return 0
 
@@ -214,11 +200,11 @@ def _simplex_grid(parts: int, resolution: int):
     return rec(resolution, parts)
 
 
-def cmd_sweep(args, cfg: CliConfig) -> int:
+def cmd_sweep(args) -> int:
     b = _load_branching(args)
-    if not _require_valid(b, cfg):
+    if not _require_valid(b, args):
         return 1
-    r = cfg.grid_resolution
+    r = args.grid_resolution
     parts = len(b.source)
     points = comb(r + parts - 1, parts - 1)
     if points > GRID_POINT_CAP:
@@ -228,24 +214,24 @@ def cmd_sweep(args, cfg: CliConfig) -> int:
     header = ",".join([f"p_{label}" for label in b.source.labels] + ["S", "bound", "residual"])
     grid = _simplex_grid(parts, r)
     best, argmax = -1.0, None
-    with _output(cfg) as out:
+    with _output(args) as out:
         out.write(header + "\n")
         while chunk := list(islice(grid, SWEEP_CHUNK)):
             probs = np.array(chunk, dtype=float) / r
             check_probs(probs)
-            values, _, residuals, bound = order_parameter_rows(b, probs, bits=cfg.bits)
+            values, _, residuals, bound = order_parameter_rows(b, probs, bits=args.bits)
             top = int(np.argmax(values))
             if values[top] > best:  # strict: the first maximum wins ties
                 best, argmax = float(values[top]), probs[top].tolist()
             table = np.column_stack([probs, values, np.full(len(values), bound), residuals])
             out.write("".join(",".join(map(repr, row)) + "\n" for row in table.tolist()))
         out.write(f"# max_S={best!r} argmax={'|'.join(map(repr, argmax))} bound={bound!r}\n")
-    if best > bound + cfg.tolerance:
+    if best > bound + args.tolerance:
         return 1
     return 0
 
 
-def cmd_enumerate(args, cfg: CliConfig) -> int:
+def cmd_enumerate(args) -> int:
     if args.catalog:
         source = entry(args.catalog).branching.source
     elif args.source:
@@ -260,17 +246,17 @@ def cmd_enumerate(args, cfg: CliConfig) -> int:
         weights = [int(x) for x in args.algebra.split(",")]
         algebra = CondensableAlgebra(source, tuple(weights))
         results = enumerate_branchings(
-            source, algebra, args.max_sectors, args.max_dim, cfg.tolerance
+            source, algebra, args.max_sectors, args.max_dim, args.tolerance
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    with _output(cfg) as out:
+    with _output(args) as out:
         cio.dump_branchings(results, out)
         out.write("\n")
     return 0
 
 
-def cmd_duality(args, cfg: CliConfig) -> int:
+def cmd_duality(args) -> int:
     if args.catalog_a and args.catalog_b:
         bA = entry(args.catalog_a).branching
         bB = entry(args.catalog_b).branching
@@ -281,7 +267,7 @@ def cmd_duality(args, cfg: CliConfig) -> int:
         bA, bB = docA, docB
     else:
         raise UsageError("provide --a/--b files or --catalog-a/--catalog-b ids")
-    if not (_require_valid(bA, cfg) and _require_valid(bB, cfg)):
+    if not (_require_valid(bA, args) and _require_valid(bB, args)):
         return 1
     try:
         found = find_dualities(bA, bB)
@@ -292,21 +278,21 @@ def cmd_duality(args, cfg: CliConfig) -> int:
         "dualities": [
             {
                 **d.as_dict(),
-                "residual": verify_duality(bA, bB, d, trials=args.trials, seed=cfg.seed),
+                "residual": verify_duality(bA, bB, d, trials=args.trials, seed=args.seed),
             }
             for d in found
         ],
     }
-    _emit_json(payload, cfg)
+    _emit_json(payload, args)
     return 0
 
 
-def cmd_catalog(args, cfg: CliConfig) -> int:
+def cmd_catalog(args) -> int:
     if args.action == "list":
         payload = {
             "entries": [{"id": e.id, "description": e.description} for e in catalog()]
         }
-        _emit_json(payload, cfg)
+        _emit_json(payload, args)
         return 0
     item = entry(args.id)
     payload = {
@@ -315,7 +301,7 @@ def cmd_catalog(args, cfg: CliConfig) -> int:
         "branching": cio.branching_to_dict(item.branching),
         "expected": [g.as_dict() for g in item.expected],
     }
-    _emit_json(payload, cfg)
+    _emit_json(payload, args)
     return 0
 
 
@@ -405,15 +391,8 @@ def main(argv=None) -> int:
         parser.error("--trials must be non-negative")
     if args.command == "catalog" and args.action == "show" and not args.id:
         parser.error("catalog show requires an entry id")
-    cfg = CliConfig(
-        tolerance=args.tolerance,
-        log_base="bits" if args.bits else "natural",
-        grid_resolution=args.grid_resolution,
-        output_path=args.output,
-        seed=args.seed,
-    )
     try:
-        code = args.func(args, cfg)
+        code = args.func(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -137,11 +137,15 @@ def infinite_temperature_state(
 
     ``multiplicities`` gives the positive integer N_a per sector, either as
     a sequence in label order or as a label -> N mapping; omitted entries
-    and ``None`` default to 1.
+    and ``None`` default to 1, and a mapping key that is not a sector
+    raises ``ValueError``.
     """
     if multiplicities is None:
         mult = np.ones(len(system))
     elif isinstance(multiplicities, dict):
+        unknown = multiplicities.keys() - set(system.labels)
+        if unknown:
+            raise ValueError(f"multiplicities name unknown labels {sorted(unknown)}")
         mult = np.array([multiplicities.get(label, 1) for label in system.labels], dtype=float)
     else:
         mult = np.asarray(list(multiplicities), dtype=float)

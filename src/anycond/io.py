@@ -119,6 +119,8 @@ def system_from_dict(data, path: str = "") -> AnyonSystem:
         return AnyonSystem(tuple(labels), tuple(dims), data["vacuum"], dual, twist)
     except ValueError as exc:
         raise SchemaError(path.rstrip(".") or "system", str(exc)) from None
+    except OverflowError:  # only float(dim) can overflow here
+        raise SchemaError(f"{path}dims", "an entry is too large for a float") from None
 
 
 def branching_to_dict(b: BranchingData) -> dict:
@@ -199,10 +201,6 @@ def branching_from_dict(data, path: str = "") -> BranchingData:
         raise SchemaError(f"{path}n", str(exc)) from None
 
 
-def state_to_dict(state: SectorState) -> dict:
-    return {"probs": [float(x) for x in state.probs]}
-
-
 def state_from_dict(data, system: AnyonSystem, path: str = "") -> SectorState:
     if not isinstance(data, dict):
         raise SchemaError(path.rstrip("."), "expected an object")
@@ -221,9 +219,14 @@ def state_from_dict(data, system: AnyonSystem, path: str = "") -> SectorState:
                     parsed[x] = float(Fraction(x))
                 except (ValueError, ZeroDivisionError):
                     raise SchemaError(f"{path}probs[{i}]", f"not a number: {x!r}") from None
+                except OverflowError:
+                    raise SchemaError(f"{path}probs[{i}]", "too large for a float") from None
             probs.append(parsed[x])
         elif _is_number(x):
-            probs.append(float(x))
+            try:
+                probs.append(float(x))
+            except OverflowError:
+                raise SchemaError(f"{path}probs[{i}]", "too large for a float") from None
         else:
             raise SchemaError(f"{path}probs[{i}]", f"not a number: {x!r}")
     try:

@@ -36,6 +36,11 @@ def rep_s3_1y():
     return ac.entry("repS3-1Y").branching
 
 
+@pytest.fixture
+def rep_s3_lagrangian():
+    return ac.entry("repS3-lagrangian").branching
+
+
 def random_states(system, count, seed=0):
     rng = np.random.default_rng(seed)
     raw = rng.random((count, len(system))) + 1e-12

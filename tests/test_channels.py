@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import anycond as ac
-from anycond.channels import condensed_block_probs, source_block_probs
+from anycond.channels import _kraus_set, condensed_block_probs, source_block_probs
 
 from conftest import fixes_restricted_states, random_states
 
@@ -190,6 +190,64 @@ def test_toric_restriction_kraus_entries(toric_1y):
         nonzero = np.abs(k[np.nonzero(k)])
         assert 1 <= nonzero.size <= 2
         assert np.allclose(nonzero, 1.0)
+
+
+def units(dim, sectors, entries):
+    """One dim x dim matrix per source sector, zero but for the given
+    {(sector, row, column): value} entries."""
+    ops = np.zeros((sectors, dim, dim), dtype=complex)
+    for (a, row, col), value in entries.items():
+        ops[a, row, col] = value
+    return ops
+
+
+# Block basis (1, X, Y, then the condensed sectors).  In repS3-lagrangian
+# n[Y, phi] = 2, so the label-level weight of Y -> phi is the sum of two
+# channel copies; in repS3-1Y, Y feeds both condensed sectors.
+KRAUS_ENTRIES = {
+    "repS3-lagrangian": (
+        {(0, 3, 0): 1.0, (1, 3, 1): 1.0, (2, 3, 2): 1.0},
+        {(0, 0, 3): np.sqrt(1 / 6), (1, 1, 3): np.sqrt(1 / 6), (2, 2, 3): np.sqrt(2 / 3)},
+    ),
+    "repS3-1Y": (
+        {(0, 3, 0): 1.0, (1, 4, 1): 1.0, (2, 3, 2): np.sqrt(1 / 2), (2, 4, 2): np.sqrt(1 / 2)},
+        {
+            (0, 0, 3): np.sqrt(1 / 3),
+            (1, 1, 4): np.sqrt(1 / 3),
+            (2, 2, 3): np.sqrt(2 / 3),
+            (2, 2, 4): np.sqrt(2 / 3),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("entry_id", sorted(KRAUS_ENTRIES))
+def test_kraus_entries_with_multiplicity_and_shared_parent(entry_id):
+    b = ac.entry(entry_id).branching
+    restriction, lifting = KRAUS_ENTRIES[entry_id]
+    dim = len(b.source) + len(b.condensed)
+    for ks, entries in ((ac.kraus_restriction(b), restriction), (ac.kraus_lifting(b), lifting)):
+        assert ks.block_dim == dim
+        np.testing.assert_array_equal(np.stack(ks.operators), units(dim, 3, entries))
+
+
+def test_channel_resolved_restriction_splits_a_multiplicity(rep_s3_lagrangian):
+    # The bimodule check's basis: one vector per channel copy (1, X, Y, Y),
+    # then phi.  Each copy of Y -> phi carries half the label-level weight.
+    ks = _kraus_set(rep_s3_lagrangian, "restriction", resolved=True)
+    half = np.sqrt(1 / 2)
+    entries = {(0, 4, 0): 1.0, (1, 4, 1): 1.0, (2, 4, 2): half, (2, 4, 3): half}
+    np.testing.assert_array_equal(np.stack(ks.operators), units(5, 3, entries))
+
+
+def test_kraus_invariant_residual_sees_a_scaled_operator(rep_s3_1y):
+    # Negative control: scaling K_Y by 1.1 scales its contribution by 1.21.
+    # K_Y^dag K_Y has 1 at (Y, Y), and tr(L_Y L_Y^dag) = 4/3.
+    for ks, want in ((ac.kraus_restriction(rep_s3_1y), 0.21), (ac.kraus_lifting(rep_s3_1y), 0.28)):
+        ops = list(ks.operators)
+        ops[2] = 1.1 * ops[2]
+        bad = ac.KrausSet(ks.branching, tuple(ops), ks.direction)
+        assert ac.kraus_invariant_residual(bad) == pytest.approx(want, abs=1e-12)
 
 
 def test_kraus_invariants(catalog_entry):

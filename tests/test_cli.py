@@ -479,3 +479,38 @@ def test_validate_reports_what_the_other_commands_report(capsys, tmp_path):
     rejected = json.loads(out)
     del rejected["error"]
     assert report == {"target": path, **rejected}
+
+
+# A 401-digit integer is a valid JSON number and a valid rational, but no
+# float holds it: each input path reports it as bad input (exit 2), not as a
+# domain failure or a traceback.
+HUGE = 10**400
+
+
+def test_state_too_large_for_a_float_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "entropy", "--catalog", "toric-1Y", "--state", f"{HUGE},0,0,0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot parse state '{HUGE},0,0,0'")
+
+
+@pytest.mark.parametrize("value", [HUGE, str(HUGE)], ids=["integer", "string"])
+def test_state_file_entry_too_large_for_a_float_is_a_usage_error(capsys, tmp_path, value):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"probs": [0, value, 0, 0]}))
+    code, out, err = run(capsys, "condense", "--catalog", "toric-1Y", "--state-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: probs[1]: too large for a float\n"
+
+
+def test_dim_too_large_for_a_float_is_a_usage_error(capsys, tmp_path):
+    doc = cio.branching_to_dict(ac.entry("toric-1Y").branching)
+    doc["source"]["dims"][2] = HUGE
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate", str(path)], ["sweep", "--branching", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: source.dims: an entry is too large for a float\n"

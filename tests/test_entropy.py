@@ -170,6 +170,13 @@ def test_infinite_temperature_with_multiplicities():
         ac.infinite_temperature_state(rep_s3_system(), [1, 0, 1])
 
 
+def test_infinite_temperature_rejects_unknown_labels():
+    # A mapping key that is not a sector is an error, as in
+    # CondensableAlgebra.from_labels, not a silently ignored entry.
+    with pytest.raises(ValueError, match=r"\['q', 'y'\]"):
+        ac.infinite_temperature_state(toric_system(), {"y": 5, "1": 2, "q": 1})
+
+
 def test_symmetric_state_values():
     assert np.allclose(ac.symmetric_state(zn_system(4)).probs, [0.25] * 4)
     assert np.allclose(ac.symmetric_state(rep_s3_system()).probs, [1 / 6, 1 / 6, 2 / 3])
