@@ -37,14 +37,15 @@ def _as_int_matrix(raw, rows: int, cols: int) -> np.ndarray:
     n = np.asarray(raw)
     if n.shape != (rows, cols):
         raise ValueError(f"branching matrix has shape {n.shape}, expected {(rows, cols)}")
-    if not np.issubdtype(n.dtype, np.integer):
-        rounded = np.rint(n)
-        if not np.array_equal(rounded, n):
-            raise ValueError("branching coefficients must be integers")
-        n = rounded
-    n = n.astype(np.int64)
+    kind = n.dtype.kind
+    # An object array holds ints beyond int64, or no numbers at all.
+    if kind not in "biuf" or kind in "uf" and np.any(n >= 2**63):
+        raise ValueError("branching coefficients must be integers below 2**63")
+    if kind == "f" and not np.array_equal(np.rint(n), n):
+        raise ValueError("branching coefficients must be integers")
     if np.any(n < 0):
         raise ValueError("branching coefficients must be non-negative")
+    n = n.astype(np.int64)
     n.setflags(write=False)
     return n
 
@@ -257,11 +258,6 @@ def validate_branching(b: BranchingData, tol: float = DEFAULT_TOL) -> Validation
         "index_residual": abs(lam - dim_ratio),
     }
     if metrics["index_residual"] > tol:
-        bad.append(
-            Violation(
-                "index-ratio",
-                f"index {lam!r} != D2 ratio {dim_ratio!r}",
-            )
-        )
+        bad.append(Violation("index-ratio", f"index {lam!r} != D2 ratio {dim_ratio!r}"))
 
     return ValidationReport(tuple(bad), tuple(unchecked), metrics)

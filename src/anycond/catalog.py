@@ -250,40 +250,32 @@ def _trivial_entry(entry_id: str, name: str, system: AnyonSystem) -> CatalogEntr
     )
 
 
+def _entry(entry_id: str, description: str, branching, goldens) -> Callable[[], CatalogEntry]:
+    return lambda: CatalogEntry(entry_id, description, branching(), goldens())
+
+
 # One builder per catalog id, in catalog order.  ``entry`` builds only the
 # entry it is asked for.
 _BUILDERS: dict[str, Callable[[], CatalogEntry]] = {
     "z2-full": lambda: _zn_full_entry(2),
     "z3-full": lambda: _zn_full_entry(3),
-    "toric-1Y": lambda: CatalogEntry(
-        id="toric-1Y",
-        description="toric code condensing the boson Y, index 2",
-        branching=toric_1y(),
-        expected=_toric_goldens(),
+    "toric-1Y": _entry(
+        "toric-1Y", "toric code condensing the boson Y, index 2", toric_1y, _toric_goldens
     ),
-    "toric-1Z": lambda: CatalogEntry(
-        id="toric-1Z",
-        description="toric code condensing the boson Z, index 2",
-        branching=toric_1z(),
-        expected=_toric_1z_goldens(),
+    "toric-1Z": _entry(
+        "toric-1Z", "toric code condensing the boson Z, index 2", toric_1z, _toric_1z_goldens
     ),
-    "repS3-1X": lambda: CatalogEntry(
-        id="repS3-1X",
-        description="Rep(S3) condensing 1 + X, index 2",
-        branching=rep_s3_1x(),
-        expected=_rep_s3_1x_goldens(),
+    "repS3-1X": _entry(
+        "repS3-1X", "Rep(S3) condensing 1 + X, index 2", rep_s3_1x, _rep_s3_1x_goldens
     ),
-    "repS3-1Y": lambda: CatalogEntry(
-        id="repS3-1Y",
-        description="Rep(S3) condensing 1 + Y, index 3",
-        branching=rep_s3_1y(),
-        expected=_rep_s3_1y_goldens(),
+    "repS3-1Y": _entry(
+        "repS3-1Y", "Rep(S3) condensing 1 + Y, index 3", rep_s3_1y, _rep_s3_1y_goldens
     ),
-    "repS3-lagrangian": lambda: CatalogEntry(
-        id="repS3-lagrangian",
-        description="Rep(S3) condensing 1 + X + 2Y, the Lagrangian algebra, index 6",
-        branching=rep_s3_lagrangian(),
-        expected=_rep_s3_lagrangian_goldens(),
+    "repS3-lagrangian": _entry(
+        "repS3-lagrangian",
+        "Rep(S3) condensing 1 + X + 2Y, the Lagrangian algebra, index 6",
+        rep_s3_lagrangian,
+        _rep_s3_lagrangian_goldens,
     ),
     "z2-trivial": lambda: _trivial_entry("z2-trivial", "Z_2", zn_system(2)),
     "z3-trivial": lambda: _trivial_entry("z3-trivial", "Z_3", zn_system(3)),

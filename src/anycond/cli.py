@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
+from fractions import Fraction  # noqa: F401 (unused: tests patch it to count Fractions built)
 from itertools import islice
 from math import comb
 
@@ -29,7 +29,7 @@ from .catalog import catalog, entry
 from .channels import (
     NotCondensableError,
     SectorState,
-    check_probs,
+    _channel_output,
     condensation,
     lift_coarse,
     restrict,
@@ -53,16 +53,10 @@ class UsageError(Exception):
 
 def _parse_state_csv(text: str, system: AnyonSystem) -> SectorState:
     # Accepts exact rationals like 1/3 so golden values hit exactly.
-    parts = [p.strip() for p in text.split(",")]
     try:
-        # Each distinct entry is parsed once, in order, so an error names
-        # the first bad one.
-        value = {p: float(Fraction(p)) for p in dict.fromkeys(parts)}
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        probs = cio.reals(text.split(","), "--state")
+    except cio.SchemaError as exc:
         raise UsageError(f"cannot parse state {text!r}: {exc}") from None
-    probs = [value[p] for p in parts]
-    if len(probs) != len(system):
-        raise UsageError(f"state has {len(probs)} entries, system has {len(system)}")
     try:
         return SectorState(system, probs)
     except ValueError as exc:
@@ -89,7 +83,8 @@ def _load_state(args, system: AnyonSystem) -> SectorState:
         raise UsageError("provide --state P1,P2,... or --state-file FILE")
     # A state may sum to 1 +- 1e-9; left so, its order parameter can exceed
     # log(lam) by that slack, which the bound check would then read as real.
-    return SectorState(system, rho.probs / rho.probs.sum())
+    # Rescaling a checked state gives a state, so it is not checked again.
+    return _channel_output(system, rho.probs / rho.probs.sum())
 
 
 @contextmanager
@@ -101,13 +96,9 @@ def _output(args):
         yield sys.stdout
 
 
-def _emit(text: str, args):
-    with _output(args) as out:
-        out.write(text + "\n")
-
-
 def _emit_json(payload, args):
-    _emit(json.dumps(payload, indent=2), args)
+    with _output(args) as out:
+        out.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _branching_report(b: BranchingData, args) -> ValidationReport:
@@ -217,8 +208,7 @@ def cmd_sweep(args) -> int:
     with _output(args) as out:
         out.write(header + "\n")
         while chunk := list(islice(grid, SWEEP_CHUNK)):
-            probs = np.array(chunk, dtype=float) / r
-            check_probs(probs)
+            probs = np.array(chunk, dtype=float) / r  # states by construction
             values, _, residuals, bound = order_parameter_rows(b, probs, bits=args.bits)
             top = int(np.argmax(values))
             if values[top] > best:  # strict: the first maximum wins ties
@@ -236,14 +226,11 @@ def cmd_enumerate(args) -> int:
         source = entry(args.catalog).branching.source
     elif args.source:
         doc = cio.load(args.source)
-        if isinstance(doc, BranchingData):
-            source = doc.source
-        else:
-            source = doc
+        source = doc.source if isinstance(doc, BranchingData) else doc
     else:
         raise UsageError("provide --catalog ID or --source FILE")
+    weights = cio.counts_from_text(args.algebra, "--algebra")
     try:
-        weights = [int(x) for x in args.algebra.split(",")]
         algebra = CondensableAlgebra(source, tuple(weights))
         results = enumerate_branchings(
             source, algebra, args.max_sectors, args.max_dim, args.tolerance
@@ -261,10 +248,9 @@ def cmd_duality(args) -> int:
         bA = entry(args.catalog_a).branching
         bB = entry(args.catalog_b).branching
     elif args.a and args.b:
-        docA, docB = cio.load(args.a), cio.load(args.b)
-        if not isinstance(docA, BranchingData) or not isinstance(docB, BranchingData):
+        bA, bB = cio.load(args.a), cio.load(args.b)
+        if not isinstance(bA, BranchingData) or not isinstance(bB, BranchingData):
             raise UsageError("duality inputs must be branching files")
-        bA, bB = docA, docB
     else:
         raise UsageError("provide --a/--b files or --catalog-a/--catalog-b ids")
     if not (_require_valid(bA, args) and _require_valid(bB, args)):
@@ -402,13 +388,8 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 2
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (cio.SchemaError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (UsageError, cio.SchemaError, KeyError, FileNotFoundError, IsADirectoryError,
+            PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,7 +30,7 @@ from .channels import SectorState, check_probs, condensation
 from .systems import DEFAULT_TOL, AnyonSystem
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PermutationDuality:
     """A relabelling pair: ``source_perm`` on source labels, ``condensed_perm``
     from the first branching's condensed labels onto the second's."""
@@ -44,14 +44,6 @@ class PermutationDuality:
         for name, perm in (("source_perm", self.source_perm), ("condensed_perm", self.condensed_perm)):
             if len(set(perm.values())) != len(perm):
                 raise ValueError(f"{name} is not injective")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PermutationDuality):
-            return NotImplemented
-        return (
-            self.source_perm == other.source_perm
-            and self.condensed_perm == other.condensed_perm
-        )
 
     def inverse(self) -> "PermutationDuality":
         return PermutationDuality(
@@ -216,9 +208,7 @@ def find_dualities(
         raise ValueError("dualities compare branchings of one source system")
     for system in (bA.source, bA.condensed, bB.condensed):
         if len(system) > label_cap:
-            raise ValueError(
-                f"{len(system)} labels exceed the search cap {label_cap}"
-            )
+            raise ValueError(f"{len(system)} labels exceed the search cap {label_cap}")
     if abs(jones_index(bA) - jones_index(bB)) > tol:
         return []
     source, cA, cB = bA.source, bA.condensed, bB.condensed

@@ -14,10 +14,12 @@ coarse form reads
 
 with M the overlap matrix and H the Shannon entropy.  For a normalised
 state it is the relative entropy between rho and the one-step round trip
-:func:`~anycond.channels.lift_coarse`, which is how it is evaluated; the
-two evaluations are compared in every report and their gap recorded as a
-residual.  :func:`order_parameter_rows` evaluates a whole stack of states
-at once, and :func:`order_parameter` is its one-state case.
+:func:`~anycond.channels.lift_coarse`, which is how it is evaluated.
+``round_trip`` and ``lift_coarse`` are the same linear map, p -> D M D^-1 p
+/ lam with D = diag(d), so the ``formula_residual`` between the two
+evaluations checks float rounding only.  :func:`order_parameter_rows`
+evaluates a whole stack of states at once, and :func:`order_parameter` is
+its one-state case.
 
 Logarithms are natural by default; pass ``bits=True`` to report in base 2.
 """
@@ -75,11 +77,7 @@ class EntropyReport:
     log_base: str = "natural"
 
     def as_dict(self, labels: Sequence[str] | None = None) -> dict:
-        per = (
-            dict(zip(labels, self.per_sector))
-            if labels is not None
-            else list(self.per_sector)
-        )
+        per = list(self.per_sector) if labels is None else dict(zip(labels, self.per_sector))
         return {
             "order_parameter": self.order_parameter,
             "bound": self.bound,

@@ -4,14 +4,20 @@ Documents are strict: unknown fields are rejected, not ignored, and every
 rejection names the first offending field.  Numbers round-trip bit-exactly
 (integers as JSON integers, reals as JSON doubles, twists as fraction
 strings such as "1/2").
+
+Every input number, in a file or on the command line, passes one of three
+rules (:func:`reals`, :func:`_fractions`, :func:`_counts`), which reject
+booleans, non-finite and out-of-range values with a :class:`SchemaError`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
+from reprlib import repr as _show
 from typing import Union
 
 from .branching import BranchingData
@@ -31,12 +37,90 @@ class SchemaError(ValueError):
         super().__init__(f"{field}: {message}" if field else message)
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+_FLOAT_MAX = int(sys.float_info.max)
 
 
-def _is_finite_number(x) -> bool:
-    return _is_number(x) and (isinstance(x, int) or math.isfinite(x))
+def _counts(values: list, field: str) -> list[int]:
+    """The count rule on each entry, named ``field[j]``: an int in [0, 2**63),
+    the range of an int64 matrix."""
+    for j, x in enumerate(values):
+        if type(x) is not int:
+            raise SchemaError(f"{field}[{j}]", f"expected an integer, got {_show(x)}")
+        if not 0 <= x < 2**63:
+            problem = f"negative coefficient {x}" if x < 0 else "too large for int64"
+            raise SchemaError(f"{field}[{j}]", problem)
+    return values
+
+
+def _exact(x):
+    """A finite int or float as it is, a fraction string as a Fraction, else None."""
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            return None
+    if isinstance(x, int) and not isinstance(x, bool) or isinstance(x, float) and math.isfinite(x):
+        return x
+    return None
+
+
+def reals(values: list, field: str, name_entries: bool = True) -> list[float]:
+    """The real rule on each entry of a list: a JSON number or a fraction
+    string, as a finite float.  Each distinct string is parsed once.  An
+    error names the entry ``field[i]``, or the list without ``name_entries``."""
+    if not isinstance(values, list):
+        raise SchemaError(field, "expected a list of numbers")
+    parsed: dict[str, float] = {}
+    out = []
+    for i, x in enumerate(values):
+        if isinstance(x, float) and math.isfinite(x):
+            out.append(x)
+        elif isinstance(x, str) and x in parsed:
+            out.append(parsed[x])
+        else:
+            value = _exact(x)
+            # An exact value is range-checked by integer comparison, so float() cannot overflow.
+            if value is None or abs(value.numerator) > _FLOAT_MAX * value.denominator:
+                problem = f"not a number: {_show(x)}" if value is None else "too large for a float"
+                if name_entries:
+                    raise SchemaError(f"{field}[{i}]", problem)
+                raise SchemaError(field, f"an entry is {problem}")
+            out.append(float(value))
+            if isinstance(x, str):
+                parsed[x] = out[-1]
+    return out
+
+
+def _fractions(mapping: dict, field: str) -> dict:
+    """The fraction rule on each value of an object: a finite JSON number or
+    a fraction string, as an exact Fraction.  Each distinct string is parsed
+    once.  An error names the entry ``field.key``."""
+    if not isinstance(mapping, dict):
+        raise SchemaError(field, "expected an object mapping labels to fractions")
+    parsed: dict[str, Fraction] = {}
+    out = {}
+    for key, x in mapping.items():
+        if isinstance(x, str) and x in parsed:
+            out[key] = parsed[x]
+            continue
+        value = _exact(x)
+        if value is None:
+            raise SchemaError(f"{field}.{key}", f"not a fraction: {_show(x)}")
+        out[key] = value if isinstance(value, Fraction) else Fraction(value)
+        if isinstance(x, str):
+            parsed[x] = out[key]
+    return out
+
+
+def counts_from_text(text: str, field: str) -> list[int]:
+    """The count rule on comma-separated decimal entries, named ``field[j]``."""
+    values = text.split(",")
+    for j, x in enumerate(values):
+        try:
+            values[j] = int(x)
+        except ValueError:
+            pass  # the rule names the entry
+    return _counts(values, field)
 
 
 def _check_version(data: dict, path: str):
@@ -44,9 +128,9 @@ def _check_version(data: dict, path: str):
     if "schema_version" not in data:
         raise SchemaError(key, "missing")
     version = data["schema_version"]
-    if isinstance(version, bool) or version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaError(
-            key, f"unsupported schema version {version!r}, expected {SCHEMA_VERSION}"
+            key, f"unsupported schema version {_show(version)}, expected {SCHEMA_VERSION}"
         )
 
 
@@ -74,20 +158,19 @@ def system_from_dict(data, path: str = "") -> AnyonSystem:
     if not isinstance(data, dict):
         raise SchemaError(path.rstrip("."), "expected an object")
     _check_version(data, path)
-    _reject_unknown(
-        data, {"schema_version", "labels", "dims", "vacuum", "dual", "twist"}, path
-    )
+    _reject_unknown(data, {"schema_version", "labels", "dims", "vacuum", "dual", "twist"}, path)
     for field in ("labels", "dims", "vacuum"):
         if field not in data:
             raise SchemaError(f"{path}{field}", "missing")
     labels = data["labels"]
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise SchemaError(f"{path}labels", "expected a list of strings")
-    dims = data["dims"]
-    if not isinstance(dims, list) or not all(_is_number(x) for x in dims):
-        raise SchemaError(f"{path}dims", "expected a list of numbers")
+    field = f"{path}dims"
+    dims = reals(data["dims"], field, name_entries=False)
     if len(dims) != len(labels):
-        raise SchemaError(f"{path}dims", f"{len(dims)} entries for {len(labels)} labels")
+        raise SchemaError(field, f"{len(dims)} entries for {len(labels)} labels")
+    if not math.isfinite(sum(d * d for d in dims)):
+        raise SchemaError(field, "the squares of the entries do not sum to a finite float")
     if not isinstance(data["vacuum"], str):
         raise SchemaError(f"{path}vacuum", "expected a string")
 
@@ -99,28 +182,11 @@ def system_from_dict(data, path: str = "") -> AnyonSystem:
         ):
             raise SchemaError(f"{path}dual", "expected an object mapping labels to labels")
         dual = raw
-    twist = None
-    if "twist" in data:
-        raw = data["twist"]
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{path}twist", "expected an object mapping labels to fractions")
-        twist = {}
-        parsed = {}  # each distinct value is parsed once
-        for k, v in raw.items():
-            if not (isinstance(v, str) or _is_finite_number(v)):
-                raise SchemaError(f"{path}twist.{k}", f"not a fraction: {v!r}")
-            if v not in parsed:
-                try:
-                    parsed[v] = Fraction(v)
-                except (ValueError, ZeroDivisionError):
-                    raise SchemaError(f"{path}twist.{k}", f"not a fraction: {v!r}") from None
-            twist[k] = parsed[v]
+    twist = _fractions(data["twist"], f"{path}twist") if "twist" in data else None
     try:
         return AnyonSystem(tuple(labels), tuple(dims), data["vacuum"], dual, twist)
     except ValueError as exc:
         raise SchemaError(path.rstrip(".") or "system", str(exc)) from None
-    except OverflowError:  # only float(dim) can overflow here
-        raise SchemaError(f"{path}dims", "an entry is too large for a float") from None
 
 
 def branching_to_dict(b: BranchingData) -> dict:
@@ -190,15 +256,8 @@ def branching_from_dict(data, path: str = "") -> BranchingData:
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != len(condensed):
             raise SchemaError(f"{path}n[{i}]", f"expected {len(condensed)} entries")
-        for j, x in enumerate(row):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise SchemaError(f"{path}n[{i}][{j}]", f"expected an integer, got {x!r}")
-            if x < 0:
-                raise SchemaError(f"{path}n[{i}][{j}]", f"negative coefficient {x}")
-    try:
-        return BranchingData(source, condensed, rows)
-    except ValueError as exc:
-        raise SchemaError(f"{path}n", str(exc)) from None
+        _counts(row, f"{path}n[{i}]")
+    return BranchingData(source, condensed, rows)  # shape and entries are checked
 
 
 def state_from_dict(data, system: AnyonSystem, path: str = "") -> SectorState:
@@ -207,28 +266,7 @@ def state_from_dict(data, system: AnyonSystem, path: str = "") -> SectorState:
     _reject_unknown(data, {"probs"}, path)
     if "probs" not in data:
         raise SchemaError(f"{path}probs", "missing")
-    raw = data["probs"]
-    if not isinstance(raw, list):
-        raise SchemaError(f"{path}probs", "expected a list")
-    probs = []
-    parsed = {}  # each distinct string is parsed once
-    for i, x in enumerate(raw):
-        if isinstance(x, str):
-            if x not in parsed:
-                try:
-                    parsed[x] = float(Fraction(x))
-                except (ValueError, ZeroDivisionError):
-                    raise SchemaError(f"{path}probs[{i}]", f"not a number: {x!r}") from None
-                except OverflowError:
-                    raise SchemaError(f"{path}probs[{i}]", "too large for a float") from None
-            probs.append(parsed[x])
-        elif _is_number(x):
-            try:
-                probs.append(float(x))
-            except OverflowError:
-                raise SchemaError(f"{path}probs[{i}]", "too large for a float") from None
-        else:
-            raise SchemaError(f"{path}probs[{i}]", f"not a number: {x!r}")
+    probs = reals(data["probs"], f"{path}probs")
     try:
         return SectorState(system, probs)
     except ValueError as exc:
@@ -256,9 +294,10 @@ def dumps(value: Document) -> str:
 
 
 def _parse(text: str):
+    # Bad JSON, an integer of over 4,300 digits (ValueError) or too deep nesting.
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError("", f"invalid JSON: {exc}") from None
 
 

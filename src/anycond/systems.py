@@ -95,7 +95,10 @@ class AnyonSystem:
 
     def __post_init__(self):
         labels = tuple(str(x) for x in self.labels)
-        dims = tuple(float(d) for d in self.dims)
+        try:
+            dims = tuple(float(d) for d in self.dims)
+        except OverflowError:
+            raise ValueError("a dim is too large for a float") from None
         position = {label: i for i, label in enumerate(labels)}
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", dims)

@@ -1,10 +1,14 @@
+import io
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import anycond as ac
+from anycond import cli
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -62,3 +66,20 @@ def fixes_restricted_states(b):
     r = b.condensed_dims[:, None] * b.n.T / b.source_dims[None, :]
     gamma = restrict_lift_matrix(b)
     return float(np.max(np.abs((gamma - np.eye(len(gamma))) @ r))) <= 1e-12
+
+
+def run_clean(*argv):
+    """Run one CLI command in-process and return (code, stdout, stderr).
+
+    The command must end in an exit code of 0, 1 or 2: an exception out of
+    ``main`` would be a traceback.  It must issue no RuntimeWarning (numpy
+    reports overflow and invalid casts that way) and print none to stderr.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(list(argv))
+    assert code in (0, 1, 2)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()

@@ -171,3 +171,18 @@ def test_weighted_sums_hold_exactly_for_integer_catalogs(catalog_entry):
     lam = ac.jones_index(b)
     assert np.allclose(b.n @ b.condensed_dims, b.source_dims, atol=1e-12)
     assert np.allclose(b.n.T @ b.source_dims, lam * b.condensed_dims, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [10**30, 2**63, float(2**63), np.uint64(2**63)],
+    ids=["object", "int", "float", "uint64"],
+)
+def test_coefficient_no_int64_holds_is_a_value_error(entry):
+    # 10**30 made an object array that np.rint rejected with a TypeError;
+    # 2**63 wrapped negative in the int64 cast, with a RuntimeWarning, and
+    # was reported as a negative coefficient.
+    b = ac.entry("toric-1Y").branching
+    rows = [[1, 0], [entry, 0], [0, 1], [0, 1]]
+    with pytest.raises(ValueError, match=r"below 2\*\*63"):
+        ac.BranchingData(b.source, b.condensed, rows)

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import run_clean
 
 import anycond as ac
 from anycond import cli
@@ -173,14 +174,20 @@ def test_sweep_grid_cap(capsys):
     assert "cap" in err
 
 
-def test_sweep_lagrangian_max_attains_bound_at_vertex(capsys):
-    code, out, _ = run(capsys, "--grid-resolution", "3", "sweep", "--catalog", "repS3-lagrangian")
+def test_sweep_lagrangian_max_attains_bound_at_vertex(capsys, catalog_entry):
+    # S(p) = D(p || R p) is jointly convex in p, so its maximum over the
+    # simplex lies at a vertex, and at the vacuum vertex it is log(lam): the
+    # footer's max_S equals its bound on every valid branching.
+    argv = ["--grid-resolution", "3", "sweep", "--catalog", catalog_entry.id]
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     footer = out.strip().splitlines()[-1]
     max_s = float(footer.split("max_S=")[1].split(" ")[0])
-    assert max_s == pytest.approx(math.log(6.0), abs=1e-12)
-    argmax = footer.split("argmax=")[1].split(" ")[0]
-    assert [float(x) for x in argmax.split("|")] == [1.0, 0.0, 0.0]
+    assert max_s == pytest.approx(float(footer.split("bound=")[1]), abs=1e-12)
+    if catalog_entry.id == "repS3-lagrangian":
+        assert max_s == pytest.approx(math.log(6.0), abs=1e-12)
+        argmax = footer.split("argmax=")[1].split(" ")[0]
+        assert [float(x) for x in argmax.split("|")] == [1.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize(
@@ -514,3 +521,59 @@ def test_dim_too_large_for_a_float_is_a_usage_error(capsys, tmp_path):
         assert code == 2
         assert out == ""
         assert err == "error: source.dims: an entry is too large for a float\n"
+
+
+# Inputs that escaped the parsing boundary as a traceback, a numpy warning, a
+# domain failure or a wrong culprit.  Each is a one-place change to a valid
+# repS3-1Y file, and validate, entropy and sweep must all exit 2 naming it.
+def _rejected_by_every_command(tmp_path, text, message):
+    path = tmp_path / "mutant.json"
+    path.write_text(text)
+    for argv in (
+        ["validate", str(path)],
+        ["entropy", "--branching", str(path), "--state", "1,0,0"],
+        ["--grid-resolution", "2", "sweep", "--branching", str(path)],
+    ):
+        code, out, err = run_clean(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+
+
+def _rep_s3_1y_with(place, value):
+    doc = cio.branching_to_dict(ac.entry("repS3-1Y").branching)
+    *parents, last = place
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return json.dumps(doc)
+
+
+def test_coefficient_beyond_every_integer_type_is_a_usage_error(tmp_path):
+    text = _rep_s3_1y_with(["n", 1, 0], 10**30)
+    _rejected_by_every_command(tmp_path, text, "n[1][0]: too large for int64")
+
+
+def test_coefficient_of_two_to_the_63_names_its_entry(tmp_path):
+    text = _rep_s3_1y_with(["n", 1, 0], 2**63)
+    _rejected_by_every_command(tmp_path, text, "n[1][0]: too large for int64")
+
+
+def test_dim_whose_square_overflows_is_a_usage_error(tmp_path):
+    text = _rep_s3_1y_with(["source", "dims", 1], 1e308)
+    _rejected_by_every_command(tmp_path, text, "source.dims: the squares")
+
+
+def test_infinite_dim_is_a_usage_error(tmp_path):
+    text = _rep_s3_1y_with(["source", "dims", 1], math.inf)
+    assert "Infinity" in text
+    _rejected_by_every_command(tmp_path, text, "source.dims: an entry is not a number: inf")
+
+
+def test_deeply_nested_json_is_a_usage_error(tmp_path):
+    _rejected_by_every_command(tmp_path, "[" * 100_000, "invalid JSON")
+
+
+def test_schema_version_must_be_an_integer(tmp_path):
+    text = _rep_s3_1y_with(["schema_version"], 1.0)
+    _rejected_by_every_command(tmp_path, text, "schema_version: unsupported schema version 1.0")

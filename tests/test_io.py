@@ -2,9 +2,14 @@
 
 import io
 import json
+import math
+import re
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from conftest import run_clean
 from hypothesis import given, settings, strategies as st
 
 import anycond as ac
@@ -302,3 +307,163 @@ def test_state_from_dict_parses_repeated_strings_alike():
     with pytest.raises(cio.SchemaError) as err:
         cio.state_from_dict({"probs": ["1/2", "x", "1/2", "x", 0, 0]}, system)
     assert err.value.field == "probs[1]"
+
+
+
+# ---------------------------------------------------------------------------
+# Mutation fuzzer for the input boundary: one valid document of each kind the
+# CLI reads (a system file, a branching file, a state file and --state text),
+# changed at one place, must make every command that reads it exit 0, 1 or 2
+# without a traceback or a RuntimeWarning, and an exit 2 must name a field
+# that exists in the mutant, or the whole input.
+# ---------------------------------------------------------------------------
+
+FUZZ_ENTRIES = ["toric-1Y", "repS3-1Y", "repS3-1X"]
+FUZZ_STATES = {"toric-1Y": "1/2,0,0,1/2", "repS3-1Y": "1/3,1/3,1/3", "repS3-1X": "0,1/2,1/2"}
+
+
+class Raw(str):
+    """JSON text put in place of a value after encoding: what json.dumps
+    cannot write."""
+
+
+NESTED = Raw("[" * 100_000 + "]" * 100_000)
+LONG_INT = Raw("1" * 5000)  # past int()'s 4,300-digit limit
+MUTANTS = st.one_of(
+    st.sampled_from(["1/2", "text", [], [1], {}, {"a": 1}, None, 0.5, 7]),  # type swaps
+    st.booleans(),
+    st.sampled_from([2**63 - 1, 2**63, -(2**63) - 1, 10**30, 10**400]),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.sampled_from([NESTED, LONG_INT]),
+    st.just("zz"),  # an unknown label wherever a label is referenced
+)
+TEXT_MUTANTS = st.sampled_from(
+    ["true", "1e400", str(10**400), "1" * 5000, "Infinity", "-inf", "nan", "NaN", "[", "zz",
+     "", "1/0", "-1", "\udcff", "[" * 1000]
+)
+# Messages about the input as a whole.
+WHOLE_INPUT = ("invalid JSON", "not UTF-8 text", "document is neither", "expected an object")
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, list):
+        node = dict(enumerate(node))
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+
+
+def _mutate(doc, path, how, value):
+    """The document with ``value`` at ``path``, or with the key at ``path``
+    renamed to an unknown label; raw text stays a placeholder string."""
+    if not path:
+        return "\x00raw" if isinstance(value, Raw) else value
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if how == "rename" and isinstance(target, dict):
+        target["zz"] = target.pop(last)
+    else:
+        target[last] = "\x00raw" if isinstance(value, Raw) else value
+    return doc
+
+
+def _names_a_field(err: str, doc) -> bool:
+    assert err.startswith("error: ")
+    message = err[len("error: "):].rstrip("\n")
+    if message.startswith(WHOLE_INPUT) or "does not contain branching data" in message:
+        return True
+    field = message.split(": ")[0]
+    tokens = re.findall(r"\[(\d+)\]|([^.\[\]]+)", field)
+    if message.endswith(": missing"):  # a missing field's parent exists
+        tokens = tokens[:-1]
+    node = doc
+    for index, key in tokens:
+        if index:
+            if not isinstance(node, list) or int(index) >= len(node):
+                return False
+            node = node[int(index)]
+        elif isinstance(node, dict) and key in node:
+            node = node[key]
+        elif not (key == "system" and node is doc):  # a system document's root
+            return False
+    return True
+
+
+@st.composite
+def _file_mutants(draw):
+    kind = draw(st.sampled_from(["system", "branching", "state"]))
+    entry_id = draw(st.sampled_from(FUZZ_ENTRIES))
+    b = ac.entry(entry_id).branching
+    doc = {
+        "system": lambda: cio.system_to_dict(b.source),
+        "branching": lambda: cio.branching_to_dict(b),
+        "state": lambda: {"probs": FUZZ_STATES[entry_id].split(",")},
+    }[kind]()
+    path = draw(st.sampled_from(list(_paths(doc))))
+    how = draw(st.sampled_from(["replace", "rename", "bytes"]))
+    value = draw(MUTANTS)
+    mutant = _mutate(doc, path, how, value)
+    text = json.dumps(mutant)
+    if isinstance(value, Raw) and how != "rename":
+        text = text.replace(json.dumps("\x00raw"), value)
+    data = text.encode()
+    if how == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return kind, entry_id, mutant, data
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_file_mutants())
+def test_mutated_files_are_rejected_at_the_boundary(case):
+    kind, entry_id, mutant, data = case
+    state = FUZZ_STATES[entry_id]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "mutant.json")
+        Path(path).write_bytes(data)
+        if kind == "state":
+            runs = [
+                [cmd, "--catalog", entry_id, "--state-file", path] for cmd in ("condense", "entropy")
+            ]
+        else:
+            runs = [
+                ["validate", path],
+                ["condense", "--branching", path, f"--state={state}"],
+                ["entropy", "--branching", path, f"--state={state}"],
+                ["--grid-resolution", "2", "sweep", "--branching", path],
+            ]
+        for argv in runs:
+            code, out, err = run_clean(*argv)
+            if code == 2:
+                assert out == "" and _names_a_field(err, mutant), (argv, err)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(FUZZ_ENTRIES),
+    st.sampled_from(["replace", "drop", "add"]),
+    st.integers(0, 3),
+    TEXT_MUTANTS,
+)
+def test_mutated_state_text_is_rejected_at_the_boundary(entry_id, how, at, value):
+    entries = FUZZ_STATES[entry_id].split(",")
+    at %= len(entries)
+    if how == "drop":
+        del entries[at]
+    else:
+        entries[at : at + (how == "replace")] = [value]
+    text = ",".join(entries)
+    for cmd in ("condense", "entropy"):
+        code, out, err = run_clean(cmd, "--catalog", entry_id, f"--state={text}")
+        if code == 2:
+            assert out == ""
+            assert err.startswith(
+                (f"error: cannot parse state {text!r}: --state[", "error: expected",
+                 "error: probabilities", "error: negative probability")
+            ), err
+            index = re.search(r"--state\[(\d+)\]", err)
+            assert index is None or int(index.group(1)) < len(entries)

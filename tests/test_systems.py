@@ -158,3 +158,9 @@ def test_index_of_an_unknown_label_names_it():
         ac.CondensableAlgebra.from_labels(system, {"Q": 1})
     assert [system.index(label) for label in system.labels] == [0, 1, 2, 3]
     assert system.vacuum_index == 0
+
+
+def test_dim_too_large_for_a_float_is_a_value_error():
+    # It used to escape as an OverflowError, unlike every other bad dim.
+    with pytest.raises(ValueError, match="too large for a float"):
+        ac.AnyonSystem(("1", "a"), (1, 10**400), "1")
