@@ -8,7 +8,7 @@ trivial identity condensation of each system.  Every entry carries golden
 so that no rounded decimal is ever hard-coded.
 
 Entry ids follow the pattern seen in :func:`catalog`; ``entry`` additionally
-resolves ``z<N>-full`` and ``z<N>-trivial`` for any N >= 2.
+resolves ``z<N>-full`` and ``z<N>-trivial`` for 2 <= N <= ``ZN_CAP``.
 """
 
 from __future__ import annotations
@@ -289,15 +289,23 @@ def catalog() -> list[CatalogEntry]:
     return [build() for build in _BUILDERS.values()]
 
 
+# The largest N of a ``z<N>-full`` or ``z<N>-trivial`` id.  Building Z_N
+# takes time linear in N, and z<N>-trivial an N x N matrix: 8 MB at the cap.
+ZN_CAP = 1024
+
+
 def entry(entry_id: str) -> CatalogEntry:
     """Look up a catalog entry by id; ``z<N>-full`` and ``z<N>-trivial``
-    resolve for any N >= 2."""
+    resolve for 2 <= N <= ``ZN_CAP``."""
     build = _BUILDERS.get(entry_id)
     if build is not None:
         return build()
     match = re.fullmatch(r"z(\d+)-(full|trivial)", entry_id)
     if match:
-        n = int(match.group(1))
+        digits = match.group(1).lstrip("0") or "0"
+        if len(digits) > len(str(ZN_CAP)) or int(digits) > ZN_CAP:
+            raise KeyError(f"catalog entry {entry_id!r}: N exceeds the cap of {ZN_CAP}")
+        n = int(digits)
         if n >= 2:
             if match.group(2) == "full":
                 return _zn_full_entry(n)

@@ -18,7 +18,6 @@ import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction  # noqa: F401 (unused: tests patch it to count Fractions built)
-from itertools import islice
 from math import comb
 
 import numpy as np
@@ -177,18 +176,72 @@ def cmd_entropy(args) -> int:
     return 0
 
 
-def _simplex_grid(parts: int, resolution: int):
-    # Integer compositions of `resolution`, first coordinate descending,
-    # so the vacuum vertex comes first.
-    def rec(remaining: int, slots: int):
-        if slots == 1:
-            yield (remaining,)
+def _grid_blocks(parts: int, resolution: int):
+    # The integer compositions of `resolution` into `parts` counts, first
+    # coordinate descending (so the vacuum vertex comes first), as blocks
+    # (prefix, m): the prefix holds the first parts - 2 counts, and the
+    # block's m + 1 points end in (m, 0), (m - 1, 1), ..., (0, m).  The
+    # prefixes and m step like an odometer in descending lexicographic
+    # order.  A one-part grid is the block ((resolution,), 0) cut to one count.
+    if parts == 1:
+        yield (resolution,), 0
+        return
+    n = parts - 2
+    c = [resolution] + [0] * n
+    while True:
+        yield tuple(c[:n]), c[n]
+        i = n - 1
+        while i >= 0 and c[i] == 0:
+            i -= 1
+        if i < 0:
             return
-        for first in range(remaining, -1, -1):
-            for rest in rec(remaining - first, slots - 1):
-                yield (first,) + rest
+        c[i] -= 1
+        c[n], c[i + 1] = 0, c[n] + 1
 
-    return rec(resolution, parts)
+
+def _grid_batches(parts: int, resolution: int, size: int):
+    # The blocks in lists of segments (prefix, m, lo, hi), the points lo to
+    # hi - 1 of a block, `size` points to a list but the last.  A block that
+    # straddles two lists is split, so memory stays flat even when one block
+    # is the whole grid.
+    batch, room = [], size
+    for prefix, m in _grid_blocks(parts, resolution):
+        lo = 0
+        while m + 1 - lo >= room:
+            batch.append((prefix, m, lo, lo + room))
+            yield batch
+            batch, lo, room = [], lo + room, size
+        if lo <= m:
+            batch.append((prefix, m, lo, m + 1))
+            room -= m + 1 - lo
+    if batch:
+        yield batch
+
+
+def _batch_counts(batch, parts: int) -> tuple[np.ndarray, np.ndarray]:
+    # The points of a batch as the rows of an int array, and the number of
+    # points in each segment.
+    prefixes, m, lo, hi = (np.array(column, dtype=int) for column in zip(*batch))
+    sizes = hi - lo
+    j = np.arange(sizes.sum()) + np.repeat(lo + sizes - np.cumsum(sizes), sizes)
+    m = np.repeat(m, sizes)
+    counts = np.column_stack([np.repeat(prefixes, sizes, axis=0), m - j, j])
+    return counts[:, :parts], sizes
+
+
+def _reprs(x: np.ndarray) -> list[str]:
+    # repr of each float, made once per distinct value: S takes few values
+    # on symmetric grids and the residual is mostly 0.0.  Values are told
+    # apart by their bits, so 0.0 and -0.0 keep their own text.
+    keys, inverse = np.unique(x.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
+def _simplex_grid(parts: int, resolution: int):
+    # The grid points as tuples, in the order sweep prints them.
+    for batch in _grid_batches(parts, resolution, SWEEP_CHUNK):
+        yield from map(tuple, _batch_counts(batch, parts)[0].tolist())
 
 
 def cmd_sweep(args) -> int:
@@ -203,18 +256,33 @@ def cmd_sweep(args) -> int:
             f"grid of {points} points exceeds the cap of {GRID_POINT_CAP}; lower --grid-resolution"
         )
     header = ",".join([f"p_{label}" for label in b.source.labels] + ["S", "bound", "residual"])
-    grid = _simplex_grid(parts, r)
+    # Rows are joined from strings made once per command: a probability cell
+    # is one of the r + 1 strings repr(k / r) + ",", and the bound cell
+    # "," + repr(bound) + "," is one constant.  S and the residual get one
+    # repr per distinct value of a batch.  A batch is SWEEP_CHUNK points of
+    # whole or split grid blocks, evaluated by one order_parameter_rows call;
+    # each block's prefix cells are joined once, its last two looked up.
+    cells = [repr(k / r) + "," for k in range(r + 1)]
+    cell_column = np.array(cells, dtype=object)
     best, argmax = -1.0, None
     with _output(args) as out:
         out.write(header + "\n")
-        while chunk := list(islice(grid, SWEEP_CHUNK)):
-            probs = np.array(chunk, dtype=float) / r  # states by construction
+        for batch in _grid_batches(parts, r, SWEEP_CHUNK):
+            counts, sizes = _batch_counts(batch, parts)
+            probs = counts / r  # states by construction
             values, _, residuals, bound = order_parameter_rows(b, probs, bits=args.bits)
             top = int(np.argmax(values))
             if values[top] > best:  # strict: the first maximum wins ties
                 best, argmax = float(values[top]), probs[top].tolist()
-            table = np.column_stack([probs, values, np.full(len(values), bound), residuals])
-            out.write("".join(",".join(map(repr, row)) + "\n" for row in table.tolist()))
+            heads = np.array(["".join([cells[c] for c in p]) for p, *_ in batch], dtype=object)
+            heads = np.repeat(heads, sizes)
+            for column in counts[:, len(batch[0][0]):].T:
+                heads += cell_column[column]
+            bound_cell = f",{bound!r},"
+            out.write("".join([
+                f"{head}{s}{bound_cell}{res}\n"
+                for head, s, res in zip(heads.tolist(), _reprs(values), _reprs(residuals))
+            ]))
         out.write(f"# max_S={best!r} argmax={'|'.join(map(repr, argmax))} bound={bound!r}\n")
     if best > bound + args.tolerance:
         return 1

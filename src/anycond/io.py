@@ -52,16 +52,33 @@ def _counts(values: list, field: str) -> list[int]:
     return values
 
 
-def _exact(x):
-    """A finite int or float as it is, a fraction string as a Fraction, else None."""
+# A larger decimal exponent is refused before ``Fraction`` expands it digit
+# by digit.  A mantissa has at most 4,300 digits (the int parsing limit), so
+# a real beyond it would overflow a float or round to zero.
+_MAX_EXPONENT = 10_000
+
+
+def _exact(x, kind: str):
+    """A finite int or float as it is, or a fraction string as a Fraction.
+    Anything else raises ValueError saying it is not ``kind``."""
     if isinstance(x, str):
+        _, e, exponent = x.lower().rpartition("e")
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if e and digits.isdecimal() and (
+            len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT
+        ):
+            raise ValueError(
+                f"not {kind}: {_show(x)} (decimal exponent beyond ±{_MAX_EXPONENT})"
+            )
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
-            return None
-    if isinstance(x, int) and not isinstance(x, bool) or isinstance(x, float) and math.isfinite(x):
+            pass
+    elif isinstance(x, int) and not isinstance(x, bool):
         return x
-    return None
+    elif isinstance(x, float) and math.isfinite(x):
+        return x
+    raise ValueError(f"not {kind}: {_show(x)}")
 
 
 def reals(values: list, field: str, name_entries: bool = True) -> list[float]:
@@ -78,13 +95,15 @@ def reals(values: list, field: str, name_entries: bool = True) -> list[float]:
         elif isinstance(x, str) and x in parsed:
             out.append(parsed[x])
         else:
-            value = _exact(x)
-            # An exact value is range-checked by integer comparison, so float() cannot overflow.
-            if value is None or abs(value.numerator) > _FLOAT_MAX * value.denominator:
-                problem = f"not a number: {_show(x)}" if value is None else "too large for a float"
+            try:
+                value = _exact(x, "a number")
+                # Range-checked by integer comparison, so float() cannot overflow.
+                if abs(value.numerator) > _FLOAT_MAX * value.denominator:
+                    raise ValueError("too large for a float")
+            except ValueError as exc:
                 if name_entries:
-                    raise SchemaError(f"{field}[{i}]", problem)
-                raise SchemaError(field, f"an entry is {problem}")
+                    raise SchemaError(f"{field}[{i}]", str(exc)) from None
+                raise SchemaError(field, f"an entry is {exc}") from None
             out.append(float(value))
             if isinstance(x, str):
                 parsed[x] = out[-1]
@@ -103,9 +122,10 @@ def _fractions(mapping: dict, field: str) -> dict:
         if isinstance(x, str) and x in parsed:
             out[key] = parsed[x]
             continue
-        value = _exact(x)
-        if value is None:
-            raise SchemaError(f"{field}.{key}", f"not a fraction: {_show(x)}")
+        try:
+            value = _exact(x, "a fraction")
+        except ValueError as exc:
+            raise SchemaError(f"{field}.{key}", str(exc)) from None
         out[key] = value if isinstance(value, Fraction) else Fraction(value)
         if isinstance(x, str):
             parsed[x] = out[key]

@@ -33,15 +33,6 @@ from .branching import BranchingData, CondensableAlgebra, boson_violations, vali
 from .systems import DEFAULT_TOL, AnyonSystem, validate_system
 
 
-def _integer_dims(system: AnyonSystem, tol: float) -> list[int]:
-    dims = []
-    for label, d in zip(system.labels, system.dims):
-        if abs(d - round(d)) > tol:
-            raise ValueError(f"enumeration requires integer dims; sector {label!r} has d = {d}")
-        dims.append(int(round(d)))
-    return dims
-
-
 def _dim_multisets(budget: int, max_len: int, max_dim: int) -> list[tuple[int, ...]]:
     """Non-decreasing tuples of dims in [1, max_dim] whose squares sum to budget."""
     out = []
@@ -128,7 +119,9 @@ def enumerate_branchings(
     if max_sectors < 1 or max_dim < 1:
         raise ValueError("max_sectors and max_dim must be at least 1")
 
-    d = _integer_dims(source, tol)
+    if not source.is_integral(tol):
+        raise ValueError(f"enumeration requires integer dims, within {tol}")
+    d = [round(x) for x in source.dims]
     coeff = algebra.coefficients
     if not validate_system(source, tol).ok or boson_violations(source, coeff):
         return []

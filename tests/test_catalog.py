@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import time
 
 import pytest
 
@@ -84,6 +85,18 @@ def test_unknown_entry_lists_every_known_id():
         ac.entry("nope")
     known = ", ".join(e.id for e in ac.catalog())
     assert info.value.args[0] == f"unknown catalog entry 'nope'; known: {known}"
+
+
+def test_zn_ids_are_bounded_by_the_cap():
+    from anycond.catalog import ZN_CAP
+
+    assert ac.entry(f"z{ZN_CAP}-full").branching.n.shape == (ZN_CAP, 1)
+    assert ac.entry(f"z000{ZN_CAP}-full").id == f"z{ZN_CAP}-full"
+    for entry_id in (f"z{ZN_CAP + 1}-full", "z10000000-full", "z" + "9" * 5000 + "-trivial"):
+        start = time.perf_counter()
+        with pytest.raises(KeyError, match=f"N exceeds the cap of {ZN_CAP}"):
+            ac.entry(entry_id)
+        assert time.perf_counter() - start < 0.5
 
 
 def test_entry_equals_the_catalog_item():

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -577,3 +578,52 @@ def test_deeply_nested_json_is_a_usage_error(tmp_path):
 def test_schema_version_must_be_an_integer(tmp_path):
     text = _rep_s3_1y_with(["schema_version"], 1.0)
     _rejected_by_every_command(tmp_path, text, "schema_version: unsupported schema version 1.0")
+
+
+def test_catalog_id_beyond_the_zn_cap_is_a_usage_error():
+    start = time.perf_counter()
+    code, out, err = run_clean("entropy", "--catalog", "z10000000-full", "--state", "1")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert "N exceeds the cap of 1024" in err
+
+
+# Twelve bytes whose exponent Fraction would expand into a billion-digit
+# integer; each input path refuses it before parsing, in well under a second.
+VAST = "1e999999999"
+VAST_PROBLEM = f"not a number: '{VAST}' (decimal exponent beyond ±10000)"
+
+
+def _refused_fast(check):
+    start = time.perf_counter()
+    check()
+    assert time.perf_counter() - start < 5.0
+
+
+def test_vast_exponent_in_a_dim_is_a_usage_error(tmp_path):
+    text = _rep_s3_1y_with(["source", "dims", 1], VAST)
+    _refused_fast(
+        lambda: _rejected_by_every_command(tmp_path, text, f"source.dims: an entry is {VAST_PROBLEM}")
+    )
+
+
+def test_vast_exponent_in_a_twist_is_a_usage_error(tmp_path):
+    text = _rep_s3_1y_with(["source", "twist", "X"], VAST)
+    problem = VAST_PROBLEM.replace("a number", "a fraction")
+    _refused_fast(
+        lambda: _rejected_by_every_command(tmp_path, text, f"source.twist.X: {problem}")
+    )
+
+
+def test_vast_exponent_in_a_state_is_a_usage_error(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"probs": [VAST, 0, 0]}))
+    for argv, message in (
+        (["--state", f"{VAST},0,0"], f"cannot parse state '{VAST},0,0': --state[0]: {VAST_PROBLEM}"),
+        (["--state-file", str(path)], f"probs[0]: {VAST_PROBLEM}"),
+    ):
+        def check():
+            code, out, err = run_clean("entropy", "--catalog", "repS3-1Y", *argv)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
+        _refused_fast(check)

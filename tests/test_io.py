@@ -309,6 +309,28 @@ def test_state_from_dict_parses_repeated_strings_alike():
     assert err.value.field == "probs[1]"
 
 
+# Decimal exponents up to the bound parse as Fraction parses them; beyond it
+# they are refused by their field before Fraction is called.
+EXPONENT_TEXTS = ["1e-10000", "-7.5E-10000", "2.5e3", " 3E+2 ", "1_0e1_0", "1e0_000_1", "0e10000"]
+
+
+def test_decimal_exponents_within_the_bound_parse_as_before():
+    assert cio.reals(EXPONENT_TEXTS, "x") == [float(Fraction(x)) for x in EXPONENT_TEXTS]
+    twists = {str(i): x for i, x in enumerate(EXPONENT_TEXTS + ["9e10000"])}
+    assert cio._fractions(twists, "twist") == {k: Fraction(x) for k, x in twists.items()}
+
+
+@pytest.mark.parametrize("text", ["1e10001", "1e-10001", "0e999999999", "1E+0999999999", "1e1_0000_0"])
+def test_decimal_exponents_beyond_the_bound_name_their_field(text):
+    with pytest.raises(cio.SchemaError) as err:
+        cio.reals(["1/2", text], "probs")
+    assert err.value.field == "probs[1]"
+    assert "decimal exponent beyond" in str(err.value)
+    with pytest.raises(cio.SchemaError) as err:
+        cio._fractions({"X": text}, "twist")
+    assert err.value.field == "twist.X"
+
+
 
 # ---------------------------------------------------------------------------
 # Mutation fuzzer for the input boundary: one valid document of each kind the
