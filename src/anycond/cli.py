@@ -13,11 +13,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import os
 import sys
 from contextlib import contextmanager
-from fractions import Fraction  # noqa: F401 (unused: tests patch it to count Fractions built)
 from math import comb
 
 import numpy as np
@@ -35,12 +33,14 @@ from .channels import (
     round_trip,
     verify_idempotence,
 )
-from .duality import find_dualities, verify_duality
+from .duality import find_dualities, verify_dualities
 from .entropy import order_parameter, order_parameter_rows
 from .search import enumerate_branchings
 from .systems import AnyonSystem, ValidationReport, validate_system
 
 GRID_POINT_CAP = 10**7
+# Random states per duality check; each is a row of floats per source label.
+TRIALS_CAP = 10**6
 # Grid points evaluated, and CSV rows written, per step of a sweep; memory
 # stays flat in the grid size.
 SWEEP_CHUNK = 1024
@@ -97,7 +97,7 @@ def _output(args):
 
 def _emit_json(payload, args):
     with _output(args) as out:
-        out.write(json.dumps(payload, indent=2) + "\n")
+        out.write(cio.dumps_indented(payload) + "\n")
 
 
 def _branching_report(b: BranchingData, args) -> ValidationReport:
@@ -327,15 +327,10 @@ def cmd_duality(args) -> int:
         found = find_dualities(bA, bB)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    residuals = verify_dualities(bA, bB, found, trials=args.trials, seed=args.seed)
     payload = {
         "count": len(found),
-        "dualities": [
-            {
-                **d.as_dict(),
-                "residual": verify_duality(bA, bB, d, trials=args.trials, seed=args.seed),
-            }
-            for d in found
-        ],
+        "dualities": [{**d.as_dict(), "residual": r} for d, r in zip(found, residuals.tolist())],
     }
     _emit_json(payload, args)
     return 0
@@ -443,6 +438,8 @@ def main(argv=None) -> int:
         parser.error("--grid-resolution must be at least 1")
     if args.command == "duality" and args.trials < 0:
         parser.error("--trials must be non-negative")
+    if args.command == "duality" and args.trials > TRIALS_CAP:
+        parser.error(f"--trials exceeds the cap of {TRIALS_CAP}")
     if args.command == "catalog" and args.action == "show" and not args.id:
         parser.error("catalog show requires an entry id")
     try:

@@ -12,6 +12,7 @@ booleans, non-finite and out-of-range values with a :class:`SchemaError`.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -218,18 +219,47 @@ def branching_to_dict(b: BranchingData) -> dict:
     }
 
 
+@functools.cache
+def _flat_encoder(depth: int):
+    # Built once per depth; json.dumps would build a new encoder per call.
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": ")).encode
+
+
+def dumps_indented(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, as it stands ``depth``
+    levels deep in a document.  Each dict or list of scalars is one call of
+    the C encoder (``indent`` keeps the stdlib on its Python one), whose
+    separator carries the newline and indent.  Raises ``TypeError`` where
+    ``json.dumps`` does."""
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    pad = "\n" + "  " * (depth + 1)
+    for x in value.values() if isinstance(value, dict) else value:
+        if isinstance(x, (dict, list, tuple)):
+            break
+    else:
+        text = _flat_encoder(depth)(value)
+        return text if len(text) == 2 else text[0] + pad + text[1:-1] + pad[:-2] + text[-1]
+    if isinstance(value, dict):
+        items = (
+            (json.dumps(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4])
+            + ": " + dumps_indented(x, depth + 1)
+            for k, x in value.items()
+        )
+        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+    items = (dumps_indented(x, depth + 1) for x in value)
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+
+
 def _branchings_chunks(results: list[BranchingData]):
     # The text of json.dumps({"count", "branchings"}, indent=2), one result
-    # at a time.  The results share a few system objects; each is encoded
-    # once and re-indented to its depth: JSON escapes every newline inside
-    # a string, so a literal one is layout.
+    # at a time; the results share a few system objects, each encoded once.
     systems: dict[int, str] = {}
 
     def system_text(system: AnyonSystem) -> str:
         key = id(system)  # results keeps every system alive
         if key not in systems:
-            text = json.dumps(system_to_dict(system), indent=2)
-            systems[key] = text.replace("\n", "\n      ")
+            systems[key] = dumps_indented(system_to_dict(system), depth=3)
         return systems[key]
 
     yield f'{{\n  "count": {len(results)},\n  "branchings": ['
@@ -310,7 +340,7 @@ def from_dict(data) -> Document:
 
 
 def dumps(value: Document) -> str:
-    return json.dumps(to_dict(value), indent=2)
+    return dumps_indented(to_dict(value))
 
 
 def _parse(text: str):

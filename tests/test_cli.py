@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import run_clean
 
@@ -344,6 +345,30 @@ def test_duality_negative_trials_is_usage_error(capsys):
         main(["duality", "--catalog-a", "toric-1Y", "--catalog-b", "toric-1Z", "--trials", "-1"])
     assert info.value.code == 2
     assert "--trials must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", [str(cli.TRIALS_CAP + 1), "1000000000000", "10" + "0" * 400])
+def test_duality_trials_beyond_the_cap_is_usage_error(capsys, monkeypatch, trials):
+    # Refused by the parser, before any state is drawn.
+    monkeypatch.setattr(cli, "verify_dualities", None)
+    with pytest.raises(SystemExit) as info:
+        main(["duality", "--catalog-a", "toric-1Y", "--catalog-b", "toric-1Z", "--trials", trials])
+    assert info.value.code == 2
+    assert f"--trials exceeds the cap of {cli.TRIALS_CAP}" in capsys.readouterr().err
+
+
+def test_duality_trials_at_the_cap_is_accepted(capsys, monkeypatch):
+    seen = []
+
+    def record(bA, bB, found, trials, seed):
+        seen.append(trials)
+        return np.zeros(len(found))
+
+    monkeypatch.setattr(cli, "verify_dualities", record)
+    args = ["duality", "--catalog-a", "toric-1Y", "--catalog-b", "toric-1Z"]
+    assert main(args + ["--trials", str(cli.TRIALS_CAP)]) == 0
+    assert seen == [10**6]
+    assert json.loads(capsys.readouterr().out)["dualities"][0]["residual"] == 0.0
 
 
 def test_catalog_list_contains_reference_entries(capsys):

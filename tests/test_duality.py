@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import anycond as ac
 from anycond.catalog import zn_system
+from anycond.duality import VERIFY_BLOCK_ROWS, verify_dualities
 from bruteforce_dualities import admissible_maps, brute_force_dualities, coefficient_residual
 
 
@@ -315,7 +316,7 @@ def test_batched_verify_matches_the_per_trial_loop():
             for seed in (0, 11):
                 got = ac.verify_duality(bA, bB, d, trials=100, seed=seed)
                 want = _verify_per_trial(bA, bB, d, 100, seed)
-                assert abs(got - want) <= 1e-15
+                assert got == want
                 checked += 1
     assert checked > 100
 
@@ -331,3 +332,94 @@ def test_seven_plain_labels_give_720_dualities():
     assert images == sorted(set(images))
     assert all(d.condensed_perm == d.inverse().source_perm for d in found)
     assert max(ac.verify_duality(b, b, d, trials=20) for d in found) == 0.0
+
+
+# --- every found duality checked on one stack of states -----------------------
+
+
+def _per_duality(bA, bB, found, trials, seed):
+    return [ac.verify_duality(bA, bB, d, trials=trials, seed=seed) for d in found]
+
+
+@pytest.mark.parametrize("trials", [0, 1, 100, 1000])
+def test_stacked_verify_is_each_single_check_bit_for_bit(trials):
+    checked = 0
+    for k, (bA, bB) in enumerate(_verify_cases()):
+        found = ac.find_dualities(bA, bB) + [_identity_duality(bA)]
+        found = [d for d in found if set(d.condensed_perm.values()) == set(bB.condensed.labels)]
+        got = verify_dualities(bA, bB, found, trials=trials, seed=k)
+        assert got.dtype == np.float64 and got.shape == (len(found),)
+        assert got.tolist() == _per_duality(bA, bB, found, trials, k)
+        # The per-trial loop costs ~0.1 ms a state, so it checks two dualities
+        # of each pair, and at 1,000 trials one of every fourth pair.
+        reference = found[:2] if trials < 1000 else found[:1] if k % 4 == 0 else []
+        assert got.tolist()[: len(reference)] == [
+            _verify_per_trial(bA, bB, d, trials, k) for d in reference
+        ]
+        checked += len(found)
+    assert checked > 250
+
+
+def test_stacked_verify_spans_many_blocks_on_seven_plain_labels():
+    plain = ac.AnyonSystem(tuple(str(i) for i in range(7)), (1.0,) * 7, "0")
+    b = ac.trivial_condensation(plain)
+    # B's condensed dims are off by up to 6e-13, within every tolerance, so
+    # each duality reads a small channel gap of its own; and tau relabels.
+    rest = plain.labels[1:]
+    off = ac.AnyonSystem(plain.labels, tuple(1 + k * 1e-13 for k in range(7)), "0")
+    bB = plant(ac.BranchingData(plain, off, b.n), {l: l for l in plain.labels},
+               {"0": "0", **dict(zip(rest, rest[::-1]))})
+    found = ac.find_dualities(b, bB)
+    assert len(found) == 720 and VERIFY_BLOCK_ROWS // 100 * 72 == 720  # 72 blocks
+    got = verify_dualities(b, bB, found, trials=100, seed=3)
+    assert got.tolist() == _per_duality(b, bB, found, 100, 3)
+    assert 0 < got.min() and got.max() < 1e-12
+    sample = found[::71]  # at least one duality from every tenth of the blocks
+    assert [got[found.index(d)] for d in sample] == [
+        _verify_per_trial(b, bB, d, 100, 3) for d in sample
+    ]
+
+
+def test_stacked_verify_of_no_dualities_is_empty(toric_1y, toric_1z):
+    for trials in (0, 100):
+        got = verify_dualities(toric_1y, toric_1z, [], trials=trials)
+        assert got.shape == (0,) and got.dtype == np.float64
+
+
+def _bad_dualities(b):
+    """Dualities that fail a label check, each with the start of its error;
+    the first fails both maps, and the source map is checked first."""
+    src, cond = b.source.labels, b.condensed.labels
+    ident, kept = {l: l for l in src}, {t: t for t in cond}
+    return [
+        (ac.PermutationDuality({l: l for l in src[:-1]}, {}), "source_perm must map the labels"),
+        (ac.PermutationDuality({**ident, src[0]: src[1], src[1]: src[0]}, kept), "source_perm must fix"),
+        (ac.PermutationDuality({**ident, src[1]: src[2], src[2]: src[1]}, kept),
+         "source_perm does not preserve the dimension of 'X'"),
+        (ac.PermutationDuality(ident, {t: t for t in cond[:-1]}), "condensed_perm must map"),
+    ]
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_stacked_verify_raises_the_single_error_of_the_first_bad_duality(where):
+    bA = ac.entry("repS3-1Y").branching  # dims 1, 1, 2
+    found = ac.find_dualities(bA, bA) * 3
+    bad_ones = _bad_dualities(bA)
+    for k, (bad, message) in enumerate(bad_ones):
+        with pytest.raises(ValueError, match=f"^{message}") as single:
+            ac.verify_duality(bA, bA, bad)
+        position = {"first": 0, "middle": len(found) // 2, "last": len(found)}[where]
+        # Another bad duality later in the list does not change the error.
+        later = bad_ones[k - 1][0]
+        dualities = found[:position] + [bad] + found[position:] + [later]
+        for trials in (0, 100):
+            with pytest.raises(ValueError) as batch:
+                verify_dualities(bA, bA, dualities, trials=trials)
+            assert str(batch.value) == str(single.value)
+
+
+def test_stacked_verify_rejects_negative_trials_and_other_sources(toric_1y, toric_1z, rep_s3_1x):
+    with pytest.raises(ValueError, match="trials must be non-negative"):
+        verify_dualities(toric_1y, toric_1z, [_swap_yz()], trials=-1)
+    with pytest.raises(ValueError, match="one source system"):
+        verify_dualities(toric_1y, rep_s3_1x, [])

@@ -8,11 +8,13 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import run_clean
 from hypothesis import given, settings, strategies as st
 
 import anycond as ac
+from anycond import cli
 from anycond import io as cio
 from anycond.catalog import rep_s3_system, toric_system, zn_system
 from anycond.cli import main
@@ -489,3 +491,93 @@ def test_mutated_state_text_is_rejected_at_the_boundary(entry_id, how, at, value
             ), err
             index = re.search(r"--state\[(\d+)\]", err)
             assert index is None or int(index.group(1)) < len(entries)
+
+
+# --- the indented writer against json.dumps(indent=2) -------------------------
+
+AWKWARD_TEXT = ["", "plain", 'quote " and \\ back', "line\nbreak\r\t", "\x00\x1f\x7f", "é ñ 日本 🙂",
+                "\ud800", "[{,:}]", '"},\n  {']
+AWKWARD_NUMBERS = [0, -0.0, 2**63, -(2**64) - 1, 10**40, math.nan, math.inf, -math.inf, 1e300,
+                   5e-324, True, False, None, np.float64(0.1), np.float64(-0.0), np.float64("nan")]
+_texts = st.text(max_size=6) | st.sampled_from(AWKWARD_TEXT)
+_keys = _texts | st.integers(-3, 3) | st.floats(allow_nan=False, width=16) | st.booleans() | st.none()
+_scalars = (
+    st.sampled_from(AWKWARD_NUMBERS)
+    | st.integers(-(2**70), 2**70)
+    | st.floats()
+    | st.floats().map(np.float64)
+    | _texts
+)
+json_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_keys, inner, max_size=5),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(json_values, st.integers(0, 3))
+def test_dumps_indented_is_json_dumps_with_indent(value, depth):
+    want = json.dumps(value, indent=2)
+    assert cio.dumps_indented(value) == want
+    assert cio.dumps_indented(value, depth) == want.replace("\n", "\n" + "  " * depth)
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}, [[[]]], {"b": {"c": {}}}],
+    {"x": [1, [], {"y": []}], "": {}}, [[[[[[]]]]]], ["", []], {1: [], None: {}, 2.5: [1]},
+])
+def test_dumps_indented_keeps_empty_containers_at_every_depth(value):
+    assert cio.dumps_indented(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    np.int64(1), [np.int64(1)], {1, 2}, [{1}], {"a": [set()]}, {(1, 2): 0}, {"a": {(1,): [0]}},
+    {"a": [1], (2,): [3]}, object(), [1, [2, object()]],
+])
+def test_dumps_indented_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        cio.dumps_indented(value)
+
+
+def _json_commands(tmp_path):
+    path = tmp_path / "z256.json"
+    cio.save(ac.entry("z256-full").branching, path)
+    broken = cio.branching_to_dict(ac.entry("toric-1Y").branching)
+    broken["n"][1] = [1, 1]  # breaks the weighted row sum for sector Y
+    broken_path = tmp_path / "broken.json"
+    broken_path.write_text(json.dumps(broken))
+    system_path = tmp_path / "system.json"
+    cio.save(rep_s3_system(), system_path)
+    return [
+        ["validate", "--catalog", "toric-1Y", "--catalog", "repS3-1Y", str(path), str(system_path)],
+        ["validate", str(broken_path)],
+        ["condense", "--catalog", "repS3-1X", "--state", "1/2,1/4,1/4"],
+        ["entropy", "--catalog", "toric-1Y", "--state", "0.1,0.2,0.3,0.4"],
+        ["--bits", "entropy", "--branching", str(path), "--state", ",".join(["1/256"] * 256)],
+        ["duality", "--catalog-a", "toric-1Y", "--catalog-b", "toric-1Z"],
+        ["duality", "--catalog-a", "z6-full", "--catalog-b", "z6-full", "--trials", "3"],
+        ["catalog", "list"],
+        ["catalog", "show", "repS3-lagrangian"],
+        ["entropy", "--branching", str(broken_path), "--state", "1,0,0,0"],
+    ]
+
+
+def test_every_json_report_is_the_bytes_of_json_dumps_indent(tmp_path, monkeypatch, capsys):
+    def stdlib_emit_json(payload, args):
+        with cli._output(args) as out:
+            out.write(json.dumps(payload, indent=2) + "\n")
+
+    for k, argv in enumerate(_json_commands(tmp_path)):
+        changed, stdlib = tmp_path / f"changed{k}.json", tmp_path / f"stdlib{k}.json"
+        code = main(["--output", str(changed), *argv])
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_emit_json", stdlib_emit_json)
+            assert main(["--output", str(stdlib), *argv]) == code, argv
+        assert changed.read_bytes() == stdlib.read_bytes(), argv
+    assert "branching data is not condensable" in changed.read_text()
+    assert capsys.readouterr().out == ""

@@ -143,7 +143,7 @@ def _fractions_built(monkeypatch, run) -> int:
             built += 1
             return super().__new__(cls, *args, **kwargs)
 
-    for module in (systems, cio, cli):
+    for module in (systems, cio):
         monkeypatch.setattr(module, "Fraction", Counted)
     run()
     return built
