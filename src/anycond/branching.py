@@ -199,6 +199,12 @@ def boson_violations(source: AnyonSystem, vacuum_column) -> list[Violation]:
 def validate_branching(b: BranchingData, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check every branching invariant; empty report means condensable.
 
+    The tolerance rule: the two quantum-dimension constraints are checked at
+    ``min(tol, DEFAULT_TOL)``, the tolerance at which
+    :func:`~anycond.channels.condensation` compiles the channels, and every
+    other rule at ``tol``.  So an ``ok`` report, at any ``tol``, means the
+    branching compiles.
+
     Optional antiparticle and twist data gate the corresponding checks:
     when the data is missing the check lands in ``unchecked``.  Metrics
     carry the index and its residual against D2(source)/D2(condensed).
@@ -221,28 +227,23 @@ def validate_branching(b: BranchingData, tol: float = DEFAULT_TOL) -> Validation
             Violation("vacuum-row", "source vacuum must restrict to the condensed vacuum alone")
         )
 
-    bad.extend(dimension_violations(b, lam, tol))
+    bad.extend(dimension_violations(b, lam, min(tol, DEFAULT_TOL)))
 
     for j, label in enumerate(b.condensed.labels):
         if not np.any(b.n[:, j]):
             bad.append(Violation("empty-column", f"condensed sector {label!r} receives nothing"))
 
     if b.source.dual is not None and b.condensed.dual is not None:
-        source, condensed = b.source, b.condensed
-        jbar = [condensed.index(condensed.dual.get(t, t)) for t in condensed.labels]
-        rows = b.n.tolist()
-        # Python lists: numpy's fancy indexing costs more per call than this
-        # scan saves on the few sectors of a typical system.
-        for a, row in zip(source.labels, rows):
-            bar_row = rows[source.index(source.dual.get(a, a))]
-            for t, x, jb in zip(condensed.labels, row, jbar):
-                if x != bar_row[jb]:
-                    bad.append(
-                        Violation(
-                            "dual-symmetry",
-                            f"n[{a!r},{t!r}] = {x} but the antiparticle entry is {bar_row[jb]}",
-                        )
-                    )
+        n = b.n
+        flipped = n[b.source.dual_indices()][:, b.condensed.dual_indices()]
+        for i, j in zip(*np.nonzero(flipped != n)):
+            a, t = b.source.labels[i], b.condensed.labels[j]
+            bad.append(
+                Violation(
+                    "dual-symmetry",
+                    f"n[{a!r},{t!r}] = {n[i, j]} but the antiparticle entry is {flipped[i, j]}",
+                )
+            )
     else:
         unchecked.append("dual-symmetry")
 

@@ -171,7 +171,9 @@ def condensation(b: BranchingData) -> Condensation:
     :class:`NotCondensableError` naming the rule (``dim-restriction`` or
     ``dim-lift``) and the sector when a quantum-dimension constraint fails
     by more than ``1e-9``, since the channels would then not preserve
-    probability.
+    probability.  This is the check of the tolerance rule stated in
+    :func:`~anycond.branching.validate_branching`, kept here for callers
+    that skip validation.
     """
     compiled = b.__dict__.get("_condensation")
     if compiled is not None:

@@ -11,12 +11,11 @@ I/O trouble, including a reader that closed the output pipe early.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import os
 import sys
 from contextlib import contextmanager
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -24,10 +23,8 @@ from . import io as cio
 from .branching import BranchingData, CondensableAlgebra, validate_branching
 from .catalog import catalog, entry
 from .channels import (
-    NotCondensableError,
     SectorState,
     _channel_output,
-    condensation,
     lift_coarse,
     restrict,
     round_trip,
@@ -36,7 +33,7 @@ from .channels import (
 from .duality import find_dualities, verify_dualities
 from .entropy import order_parameter, order_parameter_rows
 from .search import enumerate_branchings
-from .systems import AnyonSystem, ValidationReport, validate_system
+from .systems import AnyonSystem, validate_system
 
 GRID_POINT_CAP = 10**7
 # Random states per duality check; each is a row of floats per source label.
@@ -100,21 +97,8 @@ def _emit_json(payload, args):
         out.write(cio.dumps_indented(payload) + "\n")
 
 
-def _branching_report(b: BranchingData, args) -> ValidationReport:
-    # Validation reads --tolerance, but compiling checks the dimension
-    # constraints at its own fixed 1e-9, so a branching may pass one and
-    # fail the other; both failures get the same report.
-    report = validate_branching(b, args.tolerance)
-    if report.ok:
-        try:
-            condensation(b)
-        except NotCondensableError as exc:
-            report = dataclasses.replace(report, violations=exc.violations)
-    return report
-
-
 def _require_valid(b: BranchingData, args) -> bool:
-    report = _branching_report(b, args)
+    report = validate_branching(b, args.tolerance)
     if not report.ok:
         _emit_json({"error": "branching data is not condensable", **report.as_dict()}, args)
         return False
@@ -133,7 +117,7 @@ def cmd_validate(args) -> int:
     all_ok = True
     for name, doc in targets:
         if isinstance(doc, BranchingData):
-            report = _branching_report(doc, args)
+            report = validate_branching(doc, args.tolerance)
         else:
             report = validate_system(doc, args.tolerance)
         reports.append({"target": name, **report.as_dict()})
@@ -432,8 +416,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.tolerance <= 0:
-        parser.error("--tolerance must be positive")
+    if not isfinite(args.tolerance) or args.tolerance <= 0:
+        parser.error("--tolerance must be positive and finite")
+    if not 0 <= args.seed < 2**63:
+        parser.error("--seed must be an integer in [0, 2**63)")
     if args.grid_resolution < 1:
         parser.error("--grid-resolution must be at least 1")
     if args.command == "duality" and args.trials < 0:

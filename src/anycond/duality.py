@@ -160,11 +160,9 @@ def _label_constraints(domain: AnyonSystem, codomain: AnyonSystem, tol: float):
     checks = [[] for _ in domain.labels]
     if domain.dual is None or codomain.dual is None:
         return allowed, checks, None
-    for k, a in enumerate(domain.labels):
-        kbar = domain.index(domain.dual.get(a, a))
+    for k, kbar in enumerate(domain.dual_indices()):
         checks[max(k, kbar)].append((k, kbar))
-    cod_dual = [codomain.index(codomain.dual.get(b, b)) for b in codomain.labels]
-    return allowed, checks, cod_dual
+    return allowed, checks, codomain.dual_indices()
 
 
 def _bijections(constraints, fits):

@@ -26,6 +26,7 @@ order is deterministic.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from math import isqrt
 
 import numpy as np
 
@@ -34,10 +35,15 @@ from .systems import DEFAULT_TOL, AnyonSystem, validate_system
 
 
 def _dim_multisets(budget: int, max_len: int, max_dim: int) -> list[tuple[int, ...]]:
-    """Non-decreasing tuples of dims in [1, max_dim] whose squares sum to budget."""
+    """Non-decreasing tuples of dims in [1, max_dim] whose squares sum to budget.
+
+    A dim above isqrt(budget), or a tuple longer than budget, squares to more
+    than budget, so neither is tried: the walk is bounded by budget alone.
+    """
     out = []
-    for length in range(0, max_len + 1):
-        for combo in combinations_with_replacement(range(1, max_dim + 1), length):
+    dims = range(1, min(max_dim, isqrt(budget)) + 1)
+    for length in range(0, min(max_len, budget) + 1):
+        for combo in combinations_with_replacement(dims, length):
             if sum(d * d for d in combo) == budget:
                 out.append(combo)
     return out

@@ -142,6 +142,11 @@ class AnyonSystem:
     def vacuum_index(self) -> int:
         return self.index(self.vacuum)
 
+    def dual_indices(self) -> list[int]:
+        """Position of the antiparticle of each sector, in label order; a
+        label the dual map omits is its own antiparticle.  Needs dual data."""
+        return [self._position[self.dual.get(a, a)] for a in self.labels]
+
     def is_integral(self, tol: float = DEFAULT_TOL) -> bool:
         """True when every quantum dimension is an integer within ``tol``."""
         return all(abs(d - round(d)) <= tol for d in self.dims)

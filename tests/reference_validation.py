@@ -95,7 +95,7 @@ def validate_branching(b, tol: float = 1e-9) -> ValidationReport:
     bad.extend(
         Violation("dim-restriction", f"sector {label!r}: sum_t n*d_t = {r!r} != d_a = {d!r}")
         for label, r, d in zip(b.source.labels, rows, b.source.dims)
-        if abs(r - d) > tol
+        if abs(r - d) > min(tol, 1e-9)
     )
     bad.extend(
         Violation(
@@ -103,7 +103,7 @@ def validate_branching(b, tol: float = 1e-9) -> ValidationReport:
             f"condensed sector {label!r}: sum_a n*d_a = {c!r} != lam*d_t = {lam * d!r}",
         )
         for label, c, d in zip(b.condensed.labels, cols, b.condensed.dims)
-        if abs(c - lam * d) > tol
+        if abs(c - lam * d) > min(tol, 1e-9)
     )
 
     for j, label in enumerate(b.condensed.labels):

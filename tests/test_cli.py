@@ -265,6 +265,37 @@ def test_enumerate_cli(capsys):
     assert payload["branchings"][0]["n"] == [[1, 0], [1, 0], [0, 1], [0, 1]]
 
 
+@pytest.mark.parametrize("flag", ["--max-dim", "--max-sectors"])
+def test_enumerate_bounds_beyond_the_budget_change_nothing(capsys, flag):
+    # toric-1Y over 1 + Y leaves a budget of one unit of d**2 beyond the
+    # vacuum: one more sector, of dim 1, whatever the bounds.
+    argv = ["enumerate", "--catalog", "toric-1Y", "--algebra", "1,1,0,0"]
+    code, want, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, flag, "1000000") == (0, want, "")
+
+
+@pytest.mark.parametrize("d_y", [2.0, 2 + 1e-8], ids=["exact", "off-by-1e-8"])
+def test_enumerate_prints_only_branchings_that_validate_accepts(capsys, tmp_path, d_y):
+    s = ac.entry("repS3-1Y").branching.source
+    source = tmp_path / "source.json"
+    cio.save(ac.AnyonSystem(s.labels, (1.0, 1.0, d_y), s.vacuum, s.dual, s.twist), source)
+    printed = 0
+    for algebra in ("1,0,0", "1,1,0", "1,0,1"):
+        code, out, _ = run(
+            capsys, "--tolerance", "1e-6", "enumerate", "--source", str(source), "--algebra", algebra
+        )
+        assert code == 0
+        for k, doc in enumerate(json.loads(out)["branchings"]):
+            path = tmp_path / f"{algebra}-{k}.json"
+            path.write_text(json.dumps(doc))
+            assert run(capsys, "--tolerance", "1e-6", "validate", str(path))[0] == 0
+            printed += 1
+    # Over the off source every row of Y misses its dim by 1e-8, more than
+    # the 1e-9 at which a branching compiles.
+    assert printed == (3 if d_y == 2.0 else 0)
+
+
 def test_enumerate_bad_algebra_is_usage_error(capsys):
     code, _, err = run(capsys, "enumerate", "--catalog", "toric-1Y", "--algebra", "0,1,0,0")
     assert code == 2
@@ -284,8 +315,9 @@ def test_duality_cli_finds_the_swap(capsys):
 
 
 def _toric_off_by_1e7(tmp_path):
-    """toric-1Y with d_Y = 1 + 1e-7: valid at --tolerance 1e-6, but not at
-    the fixed 1e-9 at which a branching is compiled into its channels."""
+    """toric-1Y with d_Y = 1 + 1e-7: the dimension constraints miss by more
+    than the 1e-9 at which a branching compiles, so it is rejected at any
+    --tolerance."""
     b = ac.entry("toric-1Y").branching
     s = b.source
     source = ac.AnyonSystem(s.labels, (1.0, 1.0 + 1e-7, 1.0, 1.0), s.vacuum, s.dual, s.twist)
@@ -318,7 +350,7 @@ def test_branching_within_tolerance_but_not_compilable_is_reported(capsys, tmp_p
     code, out, _ = run(capsys, *argv, "--branching", path)
     assert code == 1
     _assert_not_condensable(out, ["dim-restriction", "dim-lift"])
-    # At 1e-6 validation passes and compiling rejects it, with the same report.
+    # At 1e-6 too: the dimension constraints are checked at min(--tolerance, 1e-9).
     code, out, err = run(capsys, "--tolerance", "1e-6", *argv, "--branching", path)
     assert code == 1
     assert err == ""
@@ -345,6 +377,39 @@ def test_duality_negative_trials_is_usage_error(capsys):
         main(["duality", "--catalog-a", "toric-1Y", "--catalog-b", "toric-1Z", "--trials", "-1"])
     assert info.value.code == 2
     assert "--trials must be non-negative" in capsys.readouterr().err
+
+
+DUALITY_ARGV = ["duality", "--catalog-a", "toric-1Y", "--catalog-b", "toric-1Z"]
+ENUMERATE_ARGV = ["enumerate", "--catalog", "toric-1Y", "--algebra", "1,1,0,0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(
+            ["--tolerance", value, "validate", "--catalog", "toric-1Y"]
+            for value in ("nan", "inf", "-inf", "0", "-1")
+        ),
+        ["--tolerance", "nan", "entropy", "--catalog", "toric-1Y", "--state", "1,0,0,0"],
+        ["--seed", "-1", *DUALITY_ARGV],
+        ["--seed", str(2**63), *DUALITY_ARGV],
+        [*DUALITY_ARGV, "--trials", "-1"],
+        ["--grid-resolution", "0", "sweep", "--catalog", "toric-1Y"],
+        [*ENUMERATE_ARGV, "--max-sectors", "0"],
+        [*ENUMERATE_ARGV, "--max-dim", "0"],
+    ],
+    ids=lambda argv: " ".join(argv[:3] if argv[0].startswith("--") else argv[-2:]),
+)
+def test_every_numeric_flag_refuses_a_bad_value(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("trials", [str(cli.TRIALS_CAP + 1), "1000000000000", "10" + "0" * 400])
@@ -498,8 +563,8 @@ def test_twist_that_is_a_bool_or_not_finite_is_a_usage_error(capsys, tmp_path, v
 
 
 def test_validate_reports_what_the_other_commands_report(capsys, tmp_path):
-    # Valid at --tolerance 1e-6 but not compilable: validate used to print
-    # "ok": true and exit 0 here, while entropy exited 1.
+    # Not compilable: validate once printed "ok": true at --tolerance 1e-6
+    # and exited 0 here, while entropy exited 1.
     path = _toric_off_by_1e7(tmp_path)
     code, out, _ = run(capsys, "--tolerance", "1e-6", "validate", path)
     assert code == 1

@@ -3,6 +3,7 @@ the labelled search it replaced."""
 
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from anycond import search
 from anycond.catalog import rep_s3_system, toric_system
 
 from bruteforce_enumerator import brute_force_branchings, canonical_key
-from labelled_enumerator import labelled_branchings
+from labelled_enumerator import _dim_multisets as labelled_dim_multisets, labelled_branchings
 
 
 def _solver_keys(branchings):
@@ -113,6 +114,17 @@ def test_rejects_silly_bounds():
     algebra = ac.CondensableAlgebra(source, (1, 1, 0, 0))
     with pytest.raises(ValueError):
         ac.enumerate_branchings(source, algebra, 0, 2)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2, 3, 4, 5, 8, 9, 13, 25, 30])
+def test_dim_multisets_are_bounded_by_the_budget(budget):
+    # The labelled search's walk over every dim up to max_dim is the oracle.
+    want = labelled_dim_multisets(budget, 4, budget + 1)
+    assert search._dim_multisets(budget, 4, isqrt(budget)) == want
+    assert search._dim_multisets(budget, 4, 10**6) == want
+    if budget <= 8:
+        got = search._dim_multisets(budget, 10**6, 10**6)
+        assert got == labelled_dim_multisets(budget, budget + 1, budget + 1)
 
 
 def test_deterministic_output():

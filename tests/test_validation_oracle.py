@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import anycond as ac
 from anycond import cli, io as cio, systems
 from anycond.catalog import zn_full
+from anycond.channels import NotCondensableError, condensation
 
 import reference_validation as ref
 
@@ -166,3 +167,23 @@ def test_loading_and_validating_builds_a_fixed_number_of_fractions(monkeypatch, 
     # each of the three loads, and the one distinct state entry.
     assert _fractions_built(monkeypatch, run) == 7
     capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf dims
+@settings(max_examples=150, deadline=None)
+@given(_branchings(), st.sampled_from([1e-9, 1e-6]))
+def test_validation_accepts_only_what_compiles(case, tol):
+    # The dimension constraints are checked at min(tol, 1e-9), so the report
+    # lists exactly the violations compiling raises, and an ok report means
+    # the branching compiles.  The other rules may still fail a branching
+    # that compiles, such as a condensed sector that is not a boson.
+    b, _ = case
+    report = ac.validate_branching(b, tol)
+    dims = tuple(v for v in report.violations if v.rule in ("dim-restriction", "dim-lift"))
+    try:
+        condensation(b)
+    except NotCondensableError as exc:
+        assert exc.violations == dims
+        assert not report.ok
+    else:
+        assert dims == ()
