@@ -28,6 +28,7 @@ from .systems import (
     AnyonSystem,
     ValidationReport,
     Violation,
+    check_tolerance,
     total_dim_sq,
     validate_system,
 )
@@ -186,13 +187,11 @@ def dimension_violations(b: BranchingData, lam: float, tol: float = DEFAULT_TOL)
 
 def boson_violations(source: AnyonSystem, vacuum_column) -> list[Violation]:
     """One violation per sector of the vacuum column whose twist is not
-    trivial; none when the source declares no twists."""
-    if source.twist is None:
-        return []
+    trivial, in label order; none when the source declares no twists."""
+    bad = np.flatnonzero(source.twisted & (np.asarray(vacuum_column) > 0))
     return [
-        Violation("boson-condition", f"condensed sector {a!r} is not a boson")
-        for a, c in zip(source.labels, vacuum_column)
-        if c > 0 and source.twist.get(a, 0) != 0
+        Violation("boson-condition", f"condensed sector {source.labels[i]!r} is not a boson")
+        for i in bad.tolist()
     ]
 
 
@@ -208,7 +207,22 @@ def validate_branching(b: BranchingData, tol: float = DEFAULT_TOL) -> Validation
     Optional antiparticle and twist data gate the corresponding checks:
     when the data is missing the check lands in ``unchecked``.  Metrics
     carry the index and its residual against D2(source)/D2(condensed).
+
+    ``b`` is immutable, so the report is a pure function of ``b`` and
+    ``tol``: it is built on the first call for each ``tol`` and kept on
+    ``b``, the way :func:`~anycond.channels.condensation` keeps the compiled
+    channels.  A ``tol`` that is not finite and positive raises
+    ``ValueError``.
     """
+    check_tolerance(tol)
+    reports = b.__dict__.setdefault("_reports", {})
+    report = reports.get(tol)
+    if report is None:
+        report = reports[tol] = _validate_branching(b, tol)
+    return report
+
+
+def _validate_branching(b: BranchingData, tol: float) -> ValidationReport:
     bad: list[Violation] = []
     unchecked: list[str] = []
 

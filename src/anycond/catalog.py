@@ -9,10 +9,16 @@ so that no rounded decimal is ever hard-coded.
 
 Entry ids follow the pattern seen in :func:`catalog`; ``entry`` additionally
 resolves ``z<N>-full`` and ``z<N>-trivial`` for 2 <= N <= ``ZN_CAP``.
+
+Each entry is built once per process and shared read-only: ``entry`` and
+:func:`catalog` hand out the same object for the same entry, and its
+systems, matrix and goldens cannot be changed.  So the validation reports
+and the compiled channels kept on its branching are built once too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -232,13 +238,15 @@ def _rep_s3_lagrangian_goldens() -> tuple[GoldenValue, ...]:
     )
 
 
-def _zn_full_entry(n: int) -> CatalogEntry:
-    return CatalogEntry(
-        id=f"z{n}-full",
-        description=f"Z_{n} sectors with the full condensate, index {n}",
-        branching=zn_full(n),
-        expected=_zn_goldens(n),
-    )
+def _zn_entry(n: int, kind: str) -> CatalogEntry:
+    if kind == "full":
+        return CatalogEntry(
+            id=f"z{n}-full",
+            description=f"Z_{n} sectors with the full condensate, index {n}",
+            branching=zn_full(n),
+            expected=_zn_goldens(n),
+        )
+    return _trivial_entry(f"z{n}-trivial", f"Z_{n}", zn_system(n))
 
 
 def _trivial_entry(entry_id: str, name: str, system: AnyonSystem) -> CatalogEntry:
@@ -257,8 +265,8 @@ def _entry(entry_id: str, description: str, branching, goldens) -> Callable[[], 
 # One builder per catalog id, in catalog order.  ``entry`` builds only the
 # entry it is asked for.
 _BUILDERS: dict[str, Callable[[], CatalogEntry]] = {
-    "z2-full": lambda: _zn_full_entry(2),
-    "z3-full": lambda: _zn_full_entry(3),
+    "z2-full": lambda: _zn_entry(2, "full"),
+    "z3-full": lambda: _zn_entry(3, "full"),
     "toric-1Y": _entry(
         "toric-1Y", "toric code condensing the boson Y, index 2", toric_1y, _toric_goldens
     ),
@@ -277,38 +285,51 @@ _BUILDERS: dict[str, Callable[[], CatalogEntry]] = {
         rep_s3_lagrangian,
         _rep_s3_lagrangian_goldens,
     ),
-    "z2-trivial": lambda: _trivial_entry("z2-trivial", "Z_2", zn_system(2)),
-    "z3-trivial": lambda: _trivial_entry("z3-trivial", "Z_3", zn_system(3)),
+    "z2-trivial": lambda: _zn_entry(2, "trivial"),
+    "z3-trivial": lambda: _zn_entry(3, "trivial"),
     "toric-trivial": lambda: _trivial_entry("toric-trivial", "toric code", toric_system()),
     "repS3-trivial": lambda: _trivial_entry("repS3-trivial", "Rep(S3)", rep_s3_system()),
 }
-
-
-def catalog() -> list[CatalogEntry]:
-    """The built-in entries, each validating and reproducing its goldens."""
-    return [build() for build in _BUILDERS.values()]
 
 
 # The largest N of a ``z<N>-full`` or ``z<N>-trivial`` id.  Building Z_N
 # takes time linear in N, and z<N>-trivial an N x N matrix: 8 MB at the cap.
 ZN_CAP = 1024
 
+# The most entries kept at once.  The catalog has 11 fixed ids, and a
+# process that asks for more distinct ids rebuilds the least recently used.
+# A compiled z<ZN_CAP>-trivial holds about 32 MB, so the cap also bounds
+# the memory a long-lived process spends on entries.
+ENTRY_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=ENTRY_CACHE_SIZE)
+def _shared_entry(key: str | tuple[int, str]) -> CatalogEntry:
+    # ``key`` is a fixed id, or (N, kind) of a z<N>-<kind> id.
+    if isinstance(key, str):
+        return _BUILDERS[key]()
+    return _zn_entry(*key)
+
+
+def catalog() -> list[CatalogEntry]:
+    """The built-in entries, each validating and reproducing its goldens."""
+    return [_shared_entry(entry_id) for entry_id in _BUILDERS]
+
 
 def entry(entry_id: str) -> CatalogEntry:
     """Look up a catalog entry by id; ``z<N>-full`` and ``z<N>-trivial``
-    resolve for 2 <= N <= ``ZN_CAP``."""
-    build = _BUILDERS.get(entry_id)
-    if build is not None:
-        return build()
+    resolve for 2 <= N <= ``ZN_CAP``, with leading zeros of N dropped from
+    the entry's id."""
+    if entry_id in _BUILDERS:
+        return _shared_entry(entry_id)
     match = re.fullmatch(r"z(\d+)-(full|trivial)", entry_id)
     if match:
         digits = match.group(1).lstrip("0") or "0"
         if len(digits) > len(str(ZN_CAP)) or int(digits) > ZN_CAP:
             raise KeyError(f"catalog entry {entry_id!r}: N exceeds the cap of {ZN_CAP}")
-        n = int(digits)
+        n, kind = int(digits), match.group(2)
         if n >= 2:
-            if match.group(2) == "full":
-                return _zn_full_entry(n)
-            return _trivial_entry(entry_id, f"Z_{n}", zn_system(n))
+            fixed = f"z{n}-{kind}"
+            return _shared_entry(fixed if fixed in _BUILDERS else (n, kind))
     known = ", ".join(_BUILDERS)
     raise KeyError(f"unknown catalog entry {entry_id!r}; known: {known}")

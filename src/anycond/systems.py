@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -37,12 +38,16 @@ class ValidationReport:
 
     ``violations`` lists every broken invariant (empty means valid),
     ``unchecked`` names checks that were skipped because optional data is
-    absent, and ``metrics`` carries numeric diagnostics such as residuals.
+    absent, and ``metrics`` carries numeric diagnostics such as residuals,
+    as a read-only copy of the mapping given.
     """
 
     violations: tuple[Violation, ...] = ()
     unchecked: tuple[str, ...] = ()
     metrics: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "metrics", MappingProxyType(dict(self.metrics)))
 
     @property
     def ok(self) -> bool:
@@ -81,10 +86,14 @@ class AnyonSystem:
         Label of the trivial sector (must satisfy d = 1).
     dual:
         Optional antiparticle map, expected to be a dimension-preserving
-        involution fixing the vacuum.
+        involution fixing the vacuum.  Stored as a read-only copy.
     twist:
         Optional topological twist per label, stored as a rational multiple
-        of a full turn and compared exactly.  The trivial twist is 0.
+        of a full turn and compared exactly, in a read-only mapping.  The
+        trivial twist is 0.
+
+    A system is immutable, so one instance can be shared, as the catalog
+    shares its entries.
     """
 
     labels: tuple[str, ...]
@@ -114,13 +123,17 @@ class AnyonSystem:
             unknown = (dual.keys() | set(dual.values())) - position.keys()
             if unknown:
                 raise ValueError(f"dual map references unknown labels {sorted(unknown)}")
-            object.__setattr__(self, "dual", dual)
+            object.__setattr__(self, "dual", MappingProxyType(dual))
+        twisted = np.zeros(len(labels), dtype=bool)
         if self.twist is not None:
             twist = {str(k): _normalize_twist(v) for k, v in self.twist.items()}
             unknown = twist.keys() - position.keys()
             if unknown:
                 raise ValueError(f"twist data references unknown labels {sorted(unknown)}")
-            object.__setattr__(self, "twist", twist)
+            object.__setattr__(self, "twist", MappingProxyType(twist))
+            twisted[[position[a] for a, t in twist.items() if t]] = True
+        twisted.setflags(write=False)
+        object.__setattr__(self, "_twisted", twisted)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -147,9 +160,22 @@ class AnyonSystem:
         label the dual map omits is its own antiparticle.  Needs dual data."""
         return [self._position[self.dual.get(a, a)] for a in self.labels]
 
+    @property
+    def twisted(self) -> np.ndarray:
+        """Read-only mask, in label order, of the sectors whose twist is not
+        trivial; all false when the system declares no twists."""
+        return self._twisted
+
     def is_integral(self, tol: float = DEFAULT_TOL) -> bool:
         """True when every quantum dimension is an integer within ``tol``."""
         return all(abs(d - round(d)) <= tol for d in self.dims)
+
+
+def check_tolerance(tol: float) -> None:
+    """Refuse a tolerance that is not finite and positive: with ``nan``
+    every comparison is false, and so every check would pass."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
 
 
 def total_dim_sq(system: AnyonSystem) -> float:
@@ -160,9 +186,11 @@ def total_dim_sq(system: AnyonSystem) -> float:
 def validate_system(system: AnyonSystem, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check every internal invariant of an anyon system.
 
-    All problems become report entries; nothing raises.  The report is a
-    pure function of the input, so repeated calls agree.
+    All problems become report entries; only a ``tol`` that is not finite
+    and positive raises ``ValueError``.  The report is a pure function of
+    the input, so repeated calls agree.
     """
+    check_tolerance(tol)
     bad: list[Violation] = []
     unchecked: list[str] = []
 

@@ -1,5 +1,7 @@
 """Branching data: index, consistency equations, overlap matrix."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -186,3 +188,12 @@ def test_coefficient_no_int64_holds_is_a_value_error(entry):
     rows = [[1, 0], [entry, 0], [0, 1], [0, 1]]
     with pytest.raises(ValueError, match=r"below 2\*\*63"):
         ac.BranchingData(b.source, b.condensed, rows)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+def test_validators_refuse_a_tolerance_that_is_not_finite_and_positive(tol):
+    b = ac.entry("toric-1Y").branching
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        ac.validate_branching(b, tol)
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        ac.validate_system(b.source, tol)

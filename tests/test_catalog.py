@@ -1,5 +1,6 @@
 """Built-in catalog: entries validate and reproduce their reference values."""
 
+import dataclasses
 import importlib
 import math
 import time
@@ -92,6 +93,9 @@ def test_zn_ids_are_bounded_by_the_cap():
 
     assert ac.entry(f"z{ZN_CAP}-full").branching.n.shape == (ZN_CAP, 1)
     assert ac.entry(f"z000{ZN_CAP}-full").id == f"z{ZN_CAP}-full"
+    assert ac.entry("z007-full").id == "z7-full"
+    assert ac.entry("z007-trivial").id == "z7-trivial"
+    assert ac.entry("z03-full") is ac.entry("z3-full")
     for entry_id in (f"z{ZN_CAP + 1}-full", "z10000000-full", "z" + "9" * 5000 + "-trivial"):
         start = time.perf_counter()
         with pytest.raises(KeyError, match=f"N exceeds the cap of {ZN_CAP}"):
@@ -113,6 +117,7 @@ def test_entry_builds_only_the_requested_entry(monkeypatch):
 
     for name in ("toric_1z", "rep_s3_1x", "rep_s3_1y", "rep_s3_lagrangian", "trivial_condensation"):
         monkeypatch.setattr(cat, name, not_asked_for)
+    cat._shared_entry.cache_clear()  # so that the entries below are built here
     assert ac.entry("toric-1Y").id == "toric-1Y"
     assert ac.entry("z3-full").id == "z3-full"
     assert ac.entry("z256-full").branching.n.shape == (256, 1)
@@ -130,3 +135,42 @@ def test_trivial_condensation_factory():
     b = ac.trivial_condensation(rep_s3_system())
     assert ac.jones_index(b) == 1.0
     assert ac.validate_branching(b).ok
+
+
+SHARED_IDS = sorted(REQUIRED_IDS) + ["z5-full", "z9-trivial", "z007-trivial"]
+
+
+@pytest.mark.parametrize("entry_id", SHARED_IDS)
+def test_entry_is_built_once_and_shared(entry_id):
+    assert ac.entry(entry_id) is ac.entry(entry_id)
+    by_id = {item.id: item for item in ac.catalog()}
+    if entry_id in by_id:
+        assert by_id[entry_id] is ac.entry(entry_id)
+
+
+@pytest.mark.parametrize("entry_id", SHARED_IDS)
+def test_shared_entry_cannot_be_changed(entry_id):
+    b = ac.entry(entry_id).branching
+    for system in (b.source, b.condensed):
+        with pytest.raises(TypeError):
+            system.dual[system.vacuum] = system.labels[-1]
+        with pytest.raises(TypeError):
+            system.twist[system.vacuum] = 1
+        with pytest.raises(ValueError):
+            system.twisted[0] = True
+    with pytest.raises(ValueError):
+        b.n[0, 0] = 2
+    with pytest.raises(TypeError):
+        ac.validate_branching(b).metrics["jones_index"] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ac.entry(entry_id).expected = ()
+
+
+def test_the_entry_cache_is_bounded():
+    from anycond.catalog import ENTRY_CACHE_SIZE
+
+    cat = importlib.import_module("anycond.catalog")
+    assert cat._shared_entry.cache_info().maxsize == ENTRY_CACHE_SIZE
+    for n in range(2, ENTRY_CACHE_SIZE + 10):
+        ac.entry(f"z{n}-full")
+    assert cat._shared_entry.cache_info().currsize == ENTRY_CACHE_SIZE

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -717,3 +718,26 @@ def test_vast_exponent_in_a_state_is_a_usage_error(tmp_path):
             assert (code, out, err) == (2, "", f"error: {message}\n")
 
         _refused_fast(check)
+
+
+@pytest.mark.parametrize("entry_id", [e.id for e in ac.catalog()])
+def test_a_shared_entry_prints_the_same_bytes_on_every_call(capsys, entry_id):
+    # ``anycond.catalog`` is the function; the module is looked up by name.
+    shared = importlib.import_module("anycond.catalog")._shared_entry
+    k = len(ac.entry(entry_id).branching.source)
+    state = ",".join([f"1/{k}"] * k)
+    commands = [
+        ["entropy", "--catalog", entry_id, "--state", state],
+        ["condense", "--catalog", entry_id, "--state", state],
+        ["validate", "--catalog", entry_id],
+    ]
+
+    def outputs():
+        return [run(capsys, *argv) for argv in commands]
+
+    shared.cache_clear()
+    first = outputs()
+    assert [code for code, _, _ in first] == [0, 0, 0]
+    assert outputs() == first
+    shared.cache_clear()
+    assert outputs() == first
