@@ -10,12 +10,13 @@ That exact integer identity implies the channel identity
 restrict_B(rho) = tau( restrict_A(sigma(rho)) ) for every state, which
 :func:`verify_duality` checks numerically on random states.
 
-The search considers only permutations that preserve every piece of sector
-data the systems declare: quantum dimensions always, twists and
-antiparticle maps whenever present.  The vacuum is always fixed.  It
-backtracks over sigma alone; once sigma is fixed, the identity leaves
-tau(t) only the condensed labels whose column of n_B equals column t of n_A
-read through sigma, so tau is derived rather than searched.
+One rule says which relabellings count: the vacuum is fixed, quantum
+dimensions agree within ``DEFAULT_TOL`` (1e-9), and twists and antiparticle
+maps are kept when both systems declare them.  The search admits only such
+maps and the check refuses any that moves the vacuum or a dimension, so
+every duality found passes it.  The search backtracks over sigma alone:
+tau(t) may then only be a condensed label whose column of n_B is column t
+of n_A read through sigma, so tau is derived rather than searched.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .branching import BranchingData, jones_index
-from .channels import SectorState, check_probs, condensation
+from .channels import SectorState, _channel_output, condensation
 from .systems import DEFAULT_TOL, AnyonSystem
 
 
@@ -55,30 +56,30 @@ class PermutationDuality:
         return {"source_perm": dict(self.source_perm), "condensed_perm": dict(self.condensed_perm)}
 
 
-def _check_label_bijection(
-    perm: Mapping[str, str],
-    domain: AnyonSystem,
-    codomain: AnyonSystem,
-    tol: float,
-    what: str,
-):
+def _positions(perm: Mapping[str, str], domain: AnyonSystem, codomain: AnyonSystem, what: str):
+    """The codomain position of each domain label's image, in domain label
+    order.  Raises unless ``perm`` maps the labels bijectively, fixes the
+    vacuum and keeps every dimension within ``DEFAULT_TOL``; the first
+    changed dimension is named in the map's own order."""
     if set(perm) != set(domain.labels) or set(perm.values()) != set(codomain.labels):
         raise ValueError(f"{what} must map the labels bijectively")
     if perm[domain.vacuum] != codomain.vacuum:
         raise ValueError(f"{what} must fix the vacuum")
+    at = [0] * len(domain)
     for a, image in perm.items():
-        if abs(domain.dim_of(a) - codomain.dim_of(image)) > tol:
+        i, j = domain.index(a), codomain.index(image)
+        if abs(domain.dims[i] - codomain.dims[j]) > DEFAULT_TOL:
             raise ValueError(f"{what} does not preserve the dimension of {a!r}")
+        at[i] = j
+    return at
 
 
 def apply_permutation(duality: PermutationDuality, rho: SectorState) -> SectorState:
     """Reindex a state by the source permutation: the new weight of
     sigma(a) is the old weight of a."""
-    system = rho.system
-    _check_label_bijection(duality.source_perm, system, system, DEFAULT_TOL, "source_perm")
     out = np.empty_like(rho.probs)
-    out[[system.index(duality.source_perm[a]) for a in system.labels]] = rho.probs
-    return SectorState(system, out)
+    out[_positions(duality.source_perm, rho.system, rho.system, "source_perm")] = rho.probs
+    return _channel_output(rho.system, out)
 
 
 # Rows per restrict through A: memory stays flat in the number of dualities.
@@ -103,11 +104,10 @@ def verify_dualities(
     source, cA, cB = bA.source, bA.condensed, bB.condensed
     moves, taus = [], []
     for d in dualities:
-        _check_label_bijection(d.source_perm, source, source, DEFAULT_TOL, "source_perm")
-        _check_label_bijection(d.condensed_perm, cA, cB, DEFAULT_TOL, "condensed_perm")
-        back = {b: a for a, b in d.source_perm.items()}  # sigma moves the weight of a to b
-        moves.append([source.index(back[b]) for b in source.labels])
-        taus.append([cB.index(d.condensed_perm[t]) for t in cA.labels])
+        sigma = _positions(d.source_perm, source, source, "source_perm")
+        # sigma moves the weight of a to b = sigma(a), so the gather reads b from a.
+        moves.append(sorted(range(len(source)), key=sigma.__getitem__))
+        taus.append(_positions(d.condensed_perm, cA, cB, "condensed_perm"))
     if not dualities:
         return np.empty(0)
     moves, taus = np.array(moves), np.array(taus)
@@ -117,7 +117,6 @@ def verify_dualities(
         return gaps
     raw = np.random.default_rng(seed).random((trials, len(source))) + 1e-12
     rho = raw / raw.sum(axis=1, keepdims=True)
-    check_probs(rho)
     lhs = condensation(bB).restrict(rho)
     per_block = max(1, VERIFY_BLOCK_ROWS // trials)
     for lo in range(0, len(dualities), per_block):
@@ -136,15 +135,13 @@ def verify_duality(
     return float(verify_dualities(bA, bB, [duality], trials, seed)[0])
 
 
-def _label_constraints(domain: AnyonSystem, codomain: AnyonSystem, tol: float):
+def _label_constraints(domain: AnyonSystem, codomain: AnyonSystem):
     """The sector data a label bijection domain -> codomain must keep.
 
-    Per domain index: the codomain indices it may map to (the vacuum to the
-    vacuum, any other label to a non-vacuum label of equal dimension and,
-    when both systems declare twists, equal twist), and the pairs
-    (k, dual(k)) whose images are both known once that index is placed.
-    Last, the codomain's antiparticle indices; ``None``, with no pairs,
-    unless both systems declare duals.
+    Per domain index: the codomain indices the relabelling rule lets it map
+    to, and the pairs (k, dual(k)) whose images are both known once that
+    index is placed.  Last, the codomain's antiparticle indices; ``None``,
+    with no pairs, unless both systems declare duals.
     """
     twists = domain.twist is not None and codomain.twist is not None
     allowed = [
@@ -152,7 +149,7 @@ def _label_constraints(domain: AnyonSystem, codomain: AnyonSystem, tol: float):
             j
             for j, (b, e) in enumerate(zip(codomain.labels, codomain.dims))
             if (a == domain.vacuum) == (b == codomain.vacuum)
-            and abs(d - e) <= tol
+            and abs(d - e) <= DEFAULT_TOL
             and (not twists or domain.twist.get(a, 0) == codomain.twist.get(b, 0))
         ]
         for a, d in zip(domain.labels, domain.dims)
@@ -201,7 +198,6 @@ def find_dualities(
     bA: BranchingData,
     bB: BranchingData,
     label_cap: int = 8,
-    tol: float = DEFAULT_TOL,
 ) -> list[PermutationDuality]:
     """All permutation dualities between two branchings of one source.
 
@@ -219,7 +215,7 @@ def find_dualities(
     for system in (bA.source, bA.condensed, bB.condensed):
         if len(system) > label_cap:
             raise ValueError(f"{len(system)} labels exceed the search cap {label_cap}")
-    if abs(jones_index(bA) - jones_index(bB)) > tol:
+    if abs(jones_index(bA) - jones_index(bB)) > DEFAULT_TOL:
         return []
     source, cA, cB = bA.source, bA.condensed, bB.condensed
     if len(cA) != len(cB):
@@ -228,10 +224,10 @@ def find_dualities(
     rows_a = [sorted(row) for row in bA.n.tolist()]
     rows_b = [sorted(row) for row in bB.n.tolist()]
     cols_a, cols_b = bA.n.T.tolist(), bB.n.T.tolist()
-    tau_constraints = _label_constraints(cA, cB, tol)
+    tau_constraints = _label_constraints(cA, cB)
 
     out = []
-    sigma_constraints = _label_constraints(source, source, tol)
+    sigma_constraints = _label_constraints(source, source)
     for sigma in _bijections(sigma_constraints, lambda i, c: rows_a[c] == rows_b[i]):
         moved = [[col[s] for s in sigma] for col in cols_a]
         for tau in _bijections(tau_constraints, lambda t, u: cols_b[u] == moved[t]):

@@ -25,7 +25,6 @@ order is deterministic.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
 from math import isqrt
 
 import numpy as np
@@ -37,15 +36,19 @@ from .systems import DEFAULT_TOL, AnyonSystem, validate_system
 def _dim_multisets(budget: int, max_len: int, max_dim: int) -> list[tuple[int, ...]]:
     """Non-decreasing tuples of dims in [1, max_dim] whose squares sum to budget.
 
-    A dim above isqrt(budget), or a tuple longer than budget, squares to more
-    than budget, so neither is tried: the walk is bounded by budget alone.
+    Each step of a depth-first walk tries only the dims from the last one up to
+    the largest whose square fits the rest; the result is sorted by (length, tuple).
     """
     out = []
-    dims = range(1, min(max_dim, isqrt(budget)) + 1)
-    for length in range(0, min(max_len, budget) + 1):
-        for combo in combinations_with_replacement(dims, length):
-            if sum(d * d for d in combo) == budget:
-                out.append(combo)
+    stack = [((), 1, budget)]
+    while stack:
+        prefix, low, left = stack.pop()
+        if left == 0:
+            out.append(prefix)
+        elif len(prefix) < max_len:
+            top = min(max_dim, isqrt(left))
+            stack.extend((prefix + (d,), d, left - d * d) for d in range(low, top + 1))
+    out.sort(key=lambda dims: (len(dims), dims))
     return out
 
 
@@ -134,11 +137,10 @@ def enumerate_branchings(
     vac = source.vacuum_index
     lam = sum(c * di for c, di in zip(coeff, d))
     d2_source = sum(di * di for di in d)
-    if d2_source % lam != 0:
+    # Dims rounded at a large tol can make the index 0; no branching has it.
+    if lam < 1 or d2_source % lam != 0:
         return []
     rest_budget = d2_source // lam - 1
-    if rest_budget < 0:
-        return []
     # With exact integer dims every sum below is exact, so the dimension
     # constraints and the index ratio hold as built.  Dims that are integers
     # only within tol accumulate float error that validation may reject.

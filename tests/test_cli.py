@@ -297,6 +297,17 @@ def test_enumerate_prints_only_branchings_that_validate_accepts(capsys, tmp_path
     assert printed == (3 if d_y == 2.0 else 0)
 
 
+def test_enumerate_at_a_tolerance_that_rounds_the_vacuum_dim_to_zero(tmp_path):
+    # The dims round to (0, 1) within 0.8, so the index is 0 and D**2
+    # cannot be taken modulo it.
+    source = tmp_path / "source.json"
+    cio.save(ac.AnyonSystem(("1", "a"), (0.3, 1.0), "1"), source)
+    argv = ["--tolerance", "0.8", "enumerate", "--source", str(source), "--algebra", "1,0"]
+    code, out, err = run_clean(*argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["count"] == 0
+
+
 def test_enumerate_bad_algebra_is_usage_error(capsys):
     code, _, err = run(capsys, "enumerate", "--catalog", "toric-1Y", "--algebra", "0,1,0,0")
     assert code == 2

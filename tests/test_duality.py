@@ -423,3 +423,73 @@ def test_stacked_verify_rejects_negative_trials_and_other_sources(toric_1y, tori
         verify_dualities(toric_1y, toric_1z, [_swap_yz()], trials=-1)
     with pytest.raises(ValueError, match="one source system"):
         verify_dualities(toric_1y, rep_s3_1x, [])
+
+
+# --- one relabelling rule for the search and the check -----------------------
+
+
+def test_a_changed_dimension_is_named_in_the_map_order():
+    # The maps swap a and b (dims 1 and 2) and list the labels as 1, c, b, a:
+    # the first changed dimension in the map's own order is b's, not a's.
+    b = ac.trivial_condensation(_plain("1abc", (1.0, 1.0, 2.0, 3.0)))
+    ident = {"1": "1", "c": "c", "b": "b", "a": "a"}
+    swap = {"1": "1", "c": "c", "b": "a", "a": "b"}
+    rho = ac.SectorState(b.source, [0.1, 0.2, 0.3, 0.4])
+    message = "^source_perm does not preserve the dimension of 'b'$"
+    with pytest.raises(ValueError, match=message):
+        ac.apply_permutation(ac.PermutationDuality(swap, ident), rho)
+    for duality, what in ((ac.PermutationDuality(swap, ident), "source_perm"),
+                          (ac.PermutationDuality(ident, swap), "condensed_perm")):
+        message = f"^{what} does not preserve the dimension of 'b'$"
+        with pytest.raises(ValueError, match=message):
+            ac.verify_duality(b, b, duality)
+        for trials in (0, 100):
+            with pytest.raises(ValueError, match=message):
+                verify_dualities(b, b, [_identity_duality(b), duality], trials=trials)
+
+
+def test_every_found_duality_passes_the_check():
+    checked = 0
+    for bA, bB in _verify_cases():
+        found = ac.find_dualities(bA, bB)
+        assert verify_dualities(bA, bB, found, trials=1).shape == (len(found),)
+        checked += len(found)
+    assert checked > 200
+
+
+def test_dimensions_off_by_more_than_the_tolerance_are_not_relabelled():
+    # Within 1e-6 the swap of a and b keeps every dimension; within the
+    # 1e-9 that both the search and the check use, it does not.
+    source = _plain("1ab", (1.0, 1.0, 1.0 + 1e-7))
+    b = ac.trivial_condensation(source)
+    assert ac.find_dualities(b, b) == [_identity_duality(b)]
+    swap = ac.PermutationDuality({"1": "1", "a": "b", "b": "a"}, {"1": "1", "a": "b", "b": "a"})
+    with pytest.raises(ValueError, match="^source_perm does not preserve the dimension of 'a'$"):
+        ac.verify_duality(b, b, swap)
+
+
+def _rotations(system):
+    """The vacuum fixed and each group of equal-dimension sectors rotated by
+    one, listed in reverse label order."""
+    groups = {}
+    for a, d in zip(system.labels, system.dims):
+        if a != system.vacuum:
+            groups.setdefault(d, []).append(a)
+    sigma = {system.vacuum: system.vacuum}
+    for group in groups.values():
+        sigma.update(zip(group, group[1:] + group[:1]))
+    return {a: sigma[a] for a in reversed(system.labels)}
+
+
+def test_apply_permutation_is_a_read_only_scatter(catalog_entry):
+    source = catalog_entry.branching.source
+    sigma = _rotations(source)
+    duality = ac.PermutationDuality(sigma, {})
+    for golden in catalog_entry.expected:
+        rho = golden.state(source)
+        want = np.empty(len(source))
+        for a, p in zip(source.labels, rho.probs):
+            want[source.index(sigma[a])] = p
+        out = ac.apply_permutation(duality, rho)
+        assert out == ac.SectorState(source, want)
+        assert out.system is source and not out.probs.flags.writeable

@@ -441,7 +441,7 @@ def _file_mutants(draw):
     return kind, entry_id, mutant, data
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None)
 @given(_file_mutants())
 def test_mutated_files_are_rejected_at_the_boundary(case):
     kind, entry_id, mutant, data = case
@@ -466,7 +466,7 @@ def test_mutated_files_are_rejected_at_the_boundary(case):
                 assert out == "" and _names_a_field(err, mutant), (argv, err)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(FUZZ_ENTRIES),
     st.sampled_from(["replace", "drop", "add"]),
@@ -517,7 +517,7 @@ json_values = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None)
 @given(json_values, st.integers(0, 3))
 def test_dumps_indented_is_json_dumps_with_indent(value, depth):
     want = json.dumps(value, indent=2)

@@ -1,8 +1,9 @@
 """Enumeration of branchings, checked against the brute-force oracle and
 the labelled search it replaced."""
 
+import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import isqrt
 
 import numpy as np
@@ -125,6 +126,38 @@ def test_dim_multisets_are_bounded_by_the_budget(budget):
     if budget <= 8:
         got = search._dim_multisets(budget, 10**6, 10**6)
         assert got == labelled_dim_multisets(budget, budget + 1, budget + 1)
+
+
+def combination_dim_multisets(budget, max_len, max_dim):
+    """The walk over every combination of dims up to isqrt(budget) that the
+    depth-first walk replaced, kept as its oracle."""
+    out = []
+    dims = range(1, min(max_dim, isqrt(budget)) + 1)
+    for length in range(0, min(max_len, budget) + 1):
+        for combo in combinations_with_replacement(dims, length):
+            if sum(d * d for d in combo) == budget:
+                out.append(combo)
+    return out
+
+
+@pytest.mark.parametrize("max_dim", [1, 2, 3, 10])
+def test_dim_multisets_match_the_combination_walk(max_dim):
+    for budget in range(60):
+        for max_len in range(8):
+            want = combination_dim_multisets(budget, max_len, max_dim)
+            assert search._dim_multisets(budget, max_len, max_dim) == want
+
+
+def test_dim_multisets_cost_follows_the_output():
+    # About 3 * 10**7 multisets of up to 20 dims in 1..10; 409 of them
+    # square-sum to 100.
+    start = time.perf_counter()
+    got = search._dim_multisets(100, 20, 10)
+    assert time.perf_counter() - start < 1.0
+    assert len(got) == 409 and got == sorted(got, key=lambda dims: (len(dims), dims))
+    assert all(sum(d * d for d in dims) == 100 for dims in got)
+    # 1,023 unit dims: one multiset, deeper than the interpreter's recursion limit.
+    assert search._dim_multisets(1023, 2000, 1) == [(1,) * 1023]
 
 
 def test_deterministic_output():
@@ -265,7 +298,7 @@ def integral_sources(draw):
 
 
 @given(case=integral_sources(), max_sectors=st.integers(1, 5), max_dim=st.integers(1, 2))
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None)
 def test_hypothesis_sources_match_the_labelled_search(case, max_sectors, max_dim):
     source, algebra = case
     _assert_same_as_labelled(source, algebra, max_sectors, max_dim)
@@ -305,6 +338,14 @@ def test_zero_vacuum_dim_gives_nothing():
     assert ac.enumerate_branchings(source, algebra, 2, 2) == []
     with pytest.raises(ZeroDivisionError):
         labelled_branchings(source, algebra, 2, 2)
+
+
+def test_vacuum_dim_rounded_to_zero_gives_nothing():
+    # Integral within 0.8, the dims round to (0, 1), so the index is 0.
+    source = ac.AnyonSystem(("1", "a"), (0.3, 1.0), "1")
+    algebra = ac.CondensableAlgebra(source, (1, 0))
+    assert ac.validate_system(source, 0.8).ok
+    assert ac.enumerate_branchings(source, algebra, 2, 2, 0.8) == []
 
 
 def test_non_boson_algebra_gives_nothing():

@@ -163,7 +163,7 @@ def _branchings(draw):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf dims
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None)
 @given(_branchings(), st.sampled_from([1e-9, 1e-6]))
 def test_validators_agree_on_broken_branchings(case, tol):
     b, raw_twist = case
@@ -208,7 +208,7 @@ def test_loading_and_validating_builds_a_fixed_number_of_fractions(monkeypatch, 
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf dims
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None)
 @given(_branchings(), st.sampled_from([1e-9, 1e-6]))
 def test_validation_accepts_only_what_compiles(case, tol):
     # The dimension constraints are checked at min(tol, 1e-9), so the report
