@@ -13,8 +13,8 @@ restrict_B(rho) = tau( restrict_A(sigma(rho)) ) for every state, which
 One rule says which relabellings count: the vacuum is fixed, quantum
 dimensions agree within ``DEFAULT_TOL`` (1e-9), and twists and antiparticle
 maps are kept when both systems declare them.  The search admits only such
-maps and the check refuses any that moves the vacuum or a dimension, so
-every duality found passes it.  The search backtracks over sigma alone:
+maps and the check refuses every other, both by :func:`_label_constraints`,
+so every duality found passes it.  The search backtracks over sigma alone:
 tau(t) may then only be a condensed label whose column of n_B is column t
 of n_A read through sigma, so tau is derived rather than searched.
 """
@@ -56,30 +56,42 @@ class PermutationDuality:
         return {"source_perm": dict(self.source_perm), "condensed_perm": dict(self.condensed_perm)}
 
 
-def _positions(perm: Mapping[str, str], domain: AnyonSystem, codomain: AnyonSystem, what: str):
+def _positions(perm: Mapping[str, str], domain: AnyonSystem, codomain: AnyonSystem, what: str,
+               rule):
     """The codomain position of each domain label's image, in domain label
-    order.  Raises unless ``perm`` maps the labels bijectively, fixes the
-    vacuum and keeps every dimension within ``DEFAULT_TOL``; the first
-    changed dimension is named in the map's own order."""
+    order.  Raises unless ``perm`` maps the labels bijectively and keeps
+    ``rule``, the :func:`_label_constraints` of the two systems: the vacuum
+    is fixed, and every dimension, twist and antiparticle pair is kept.  The
+    first changed dimension or twist is named in the map's own order."""
     if set(perm) != set(domain.labels) or set(perm.values()) != set(codomain.labels):
         raise ValueError(f"{what} must map the labels bijectively")
     if perm[domain.vacuum] != codomain.vacuum:
         raise ValueError(f"{what} must fix the vacuum")
+    allowed, checks, cod_dual = rule
     at = [0] * len(domain)
     for a, image in perm.items():
         i, j = domain.index(a), codomain.index(image)
-        if abs(domain.dims[i] - codomain.dims[j]) > DEFAULT_TOL:
-            raise ValueError(f"{what} does not preserve the dimension of {a!r}")
+        if j not in allowed[i]:
+            if abs(domain.dims[i] - codomain.dims[j]) > DEFAULT_TOL:
+                raise ValueError(f"{what} does not preserve the dimension of {a!r}")
+            raise ValueError(f"{what} does not preserve the twist of {a!r}")
         at[i] = j
+    for pairs in checks:
+        for k, kbar in pairs:
+            if at[kbar] != cod_dual[at[k]]:
+                label = domain.labels[k]
+                raise ValueError(f"{what} does not preserve the antiparticle of {label!r}")
     return at
 
 
 def apply_permutation(duality: PermutationDuality, rho: SectorState) -> SectorState:
     """Reindex a state by the source permutation: the new weight of
     sigma(a) is the old weight of a."""
+    system = rho.system
+    rule = _label_constraints(system, system)
     out = np.empty_like(rho.probs)
-    out[_positions(duality.source_perm, rho.system, rho.system, "source_perm")] = rho.probs
-    return _channel_output(rho.system, out)
+    out[_positions(duality.source_perm, system, system, "source_perm", rule)] = rho.probs
+    return _channel_output(system, out)
 
 
 # Rows per restrict through A: memory stays flat in the number of dualities.
@@ -102,12 +114,13 @@ def verify_dualities(
     if bA.source != bB.source:
         raise ValueError("dualities compare branchings of one source system")
     source, cA, cB = bA.source, bA.condensed, bB.condensed
+    sigma_rule, tau_rule = _label_constraints(source, source), _label_constraints(cA, cB)
     moves, taus = [], []
     for d in dualities:
-        sigma = _positions(d.source_perm, source, source, "source_perm")
+        sigma = _positions(d.source_perm, source, source, "source_perm", sigma_rule)
         # sigma moves the weight of a to b = sigma(a), so the gather reads b from a.
         moves.append(sorted(range(len(source)), key=sigma.__getitem__))
-        taus.append(_positions(d.condensed_perm, cA, cB, "condensed_perm"))
+        taus.append(_positions(d.condensed_perm, cA, cB, "condensed_perm", tau_rule))
     if not dualities:
         return np.empty(0)
     moves, taus = np.array(moves), np.array(taus)

@@ -8,6 +8,9 @@ strings such as "1/2").
 Every input number, in a file or on the command line, passes one of three
 rules (:func:`reals`, :func:`_fractions`, :func:`_counts`), which reject
 booleans, non-finite and out-of-range values with a :class:`SchemaError`.
+
+:func:`load` reads its file on every call and returns one shared document
+per distinct text, so a process parses, validates and compiles a file once.
 """
 
 from __future__ import annotations
@@ -366,8 +369,27 @@ def _read(path: str | Path) -> str:
         raise SchemaError("", f"not UTF-8 text: {exc}") from None
 
 
+# The most documents :func:`load` keeps at once, each with its text, its
+# validation reports and its compiled channels; a process that loads more
+# distinct texts parses the least recently used again.
+LOAD_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=LOAD_CACHE_SIZE)
+def _shared_document(text: str) -> Document:
+    return loads(text)
+
+
 def load(path: str | Path) -> Document:
-    return loads(_read(path))
+    """The document in the file at ``path``, read on every call.
+
+    Documents are immutable, so one object is shared per distinct text: a
+    file rewritten in place is parsed again, the same bytes under two paths
+    give the same object, and a rejected file raises its
+    :class:`SchemaError` on every load.  At most ``LOAD_CACHE_SIZE``
+    documents are kept, with their texts, their validation reports and
+    their compiled channels.  :func:`loads` builds a new object."""
+    return _shared_document(_read(path))
 
 
 def load_state(path: str | Path, system: AnyonSystem) -> SectorState:

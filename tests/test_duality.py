@@ -468,22 +468,49 @@ def test_dimensions_off_by_more_than_the_tolerance_are_not_relabelled():
         ac.verify_duality(b, b, swap)
 
 
-def _rotations(system):
-    """The vacuum fixed and each group of equal-dimension sectors rotated by
-    one, listed in reverse label order."""
-    groups = {}
-    for a, d in zip(system.labels, system.dims):
-        if a != system.vacuum:
-            groups.setdefault(d, []).append(a)
-    sigma = {system.vacuum: system.vacuum}
-    for group in groups.values():
-        sigma.update(zip(group, group[1:] + group[:1]))
+def test_a_changed_twist_is_refused(toric_1y, toric_1z):
+    # The map moves the boson Y onto the fermion X and X onto the boson Z;
+    # it keeps every dimension, and n_B[a, t] = n_A[sigma(a), t] holds, so
+    # only the twists rule it out.  The search returns the Y <-> Z swap alone.
+    cycle = ac.PermutationDuality({"1": "1", "Y": "X", "X": "Z", "Z": "Y"}, {"phi": "phi", "X": "X"})
+    assert ac.find_dualities(toric_1y, toric_1z) == [_swap_yz()]
+    message = "^source_perm does not preserve the twist of 'Y'$"
+    with pytest.raises(ValueError, match=message):
+        ac.verify_duality(toric_1y, toric_1z, cycle)
+    for trials in (0, 100):
+        with pytest.raises(ValueError, match=message):
+            verify_dualities(toric_1y, toric_1z, [_swap_yz(), cycle, _swap_yz()], trials=trials)
+    with pytest.raises(ValueError, match=message):
+        ac.apply_permutation(cycle, ac.SectorState(toric_1y.source, [0.25] * 4))
+
+
+def test_a_broken_antiparticle_pair_is_refused():
+    # On Z_4 the swap of 1 and 2 keeps dims and twists, but 1 and 3 are
+    # antiparticles while 2 and 3 are not.
+    b = ac.trivial_condensation(zn_system(4))
+    ident = {a: a for a in b.source.labels}
+    swap = {**ident, "1": "2", "2": "1"}
+    conjugation = {**ident, "1": "3", "3": "1"}
+    assert ac.verify_duality(b, b, ac.PermutationDuality(conjugation, conjugation)) == 0.0
+    with pytest.raises(ValueError, match="^source_perm does not preserve the antiparticle of '2'$"):
+        ac.apply_permutation(ac.PermutationDuality(swap, {}), ac.SectorState(b.source, [0.25] * 4))
+    for duality, what in ((ac.PermutationDuality(swap, ident), "source_perm"),
+                          (ac.PermutationDuality(ident, swap), "condensed_perm")):
+        with pytest.raises(ValueError, match=f"^{what} does not preserve the antiparticle of '2'$"):
+            ac.verify_duality(b, b, duality)
+
+
+def _last_relabelling(system):
+    """The last relabelling of the system that the rule admits, in the
+    oracle's order (a swap of the toric bosons, charge conjugation on Z_3),
+    listed in reverse label order."""
+    sigma = admissible_maps(system, system)[-1]
     return {a: sigma[a] for a in reversed(system.labels)}
 
 
 def test_apply_permutation_is_a_read_only_scatter(catalog_entry):
     source = catalog_entry.branching.source
-    sigma = _rotations(source)
+    sigma = _last_relabelling(source)
     duality = ac.PermutationDuality(sigma, {})
     for golden in catalog_entry.expected:
         rho = golden.state(source)

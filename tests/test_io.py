@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import os
 import re
 import tempfile
 from fractions import Fraction
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import run_clean
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import anycond as ac
 from anycond import cli
@@ -153,6 +154,106 @@ def test_twists_round_trip_exactly(tmp_path):
     raw = json.loads(path.read_text())
     assert raw["twist"]["X"] == "1/2"
     assert cio.load(path).twist["X"] == system.twist["X"]
+
+
+# --- one shared document per distinct text -----------------------------------
+
+TORIC_STATE = "0.1,0.2,0.3,0.4"
+
+
+def test_a_file_rewritten_in_place_is_read_again(tmp_path):
+    path = tmp_path / "branching.json"
+    cio.save(ac.entry("toric-1Y").branching, path)
+    argv = ["entropy", "--branching", str(path), "--state", TORIC_STATE]
+    before = run_clean(*argv)
+    # The same size and modification time: only the text tells them apart.
+    stat = path.stat()
+    cio.save(ac.entry("toric-1Z").branching, path)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size
+    after = run_clean(*argv)
+    assert before == run_clean("entropy", "--catalog", "toric-1Y", "--state", TORIC_STATE)
+    assert after == run_clean("entropy", "--catalog", "toric-1Z", "--state", TORIC_STATE)
+    assert after != before
+
+
+def test_the_same_bytes_under_two_paths_are_one_document(tmp_path):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    cio.save(ac.entry("toric-1Y").branching, first)
+    second.write_bytes(first.read_bytes())
+    assert cio.load(first) is cio.load(second)
+    assert cio.loads(first.read_text()) is not cio.load(first)
+
+
+def test_a_rejected_file_raises_on_every_load_until_it_is_fixed(tmp_path):
+    path = tmp_path / "branching.json"
+    doc = _toric_doc()
+    doc["n"][0][0] = -1
+    path.write_text(json.dumps(doc))
+    cio._shared_document.cache_clear()
+    for _ in range(3):
+        with pytest.raises(cio.SchemaError) as err:
+            cio.load(path)
+        assert err.value.field == "n[0][0]"
+    assert cio._shared_document.cache_info().currsize == 0
+    doc["n"][0][0] = 1
+    path.write_text(json.dumps(doc))
+    assert cio.load(path) == ac.entry("toric-1Y").branching
+
+
+def test_at_most_load_cache_size_documents_are_kept(tmp_path):
+    text = cio.dumps(toric_system())
+    cio._shared_document.cache_clear()
+    paths = [tmp_path / f"system{k}.json" for k in range(cio.LOAD_CACHE_SIZE + 5)]
+    for k, path in enumerate(paths):
+        path.write_text(text + " " * k)  # distinct texts of one system
+    first = cio.load(paths[0])
+    assert cio.load(paths[0]) is first
+    for path in paths[1:]:
+        cio.load(path)
+    info = cio._shared_document.cache_info()
+    assert info.maxsize == info.currsize == cio.LOAD_CACHE_SIZE
+    # The least recently used text was dropped, so it is parsed again.
+    again = cio.load(paths[0])
+    assert again is not first and again == first
+
+
+def _file_commands(tmp_path):
+    toric_1y, toric_1z = tmp_path / "toric-1Y.json", tmp_path / "toric-1Z.json"
+    cio.save(ac.entry("toric-1Y").branching, toric_1y)
+    cio.save(ac.entry("toric-1Z").branching, toric_1z)
+    broken = _toric_doc()
+    broken["n"][1] = [1, 1]  # breaks the weighted row sum for sector Y
+    broken_path = tmp_path / "broken.json"
+    broken_path.write_text(json.dumps(broken))
+    system = tmp_path / "system.json"
+    cio.save(rep_s3_system(), system)
+    toric_1y, toric_1z, broken_path, system = map(str, (toric_1y, toric_1z, broken_path, system))
+    return [
+        ["validate", toric_1y, system, broken_path],
+        ["condense", "--branching", toric_1y, "--state", TORIC_STATE],
+        ["--bits", "entropy", "--branching", toric_1z, "--state", TORIC_STATE],
+        ["entropy", "--branching", broken_path, "--state", TORIC_STATE],
+        ["--grid-resolution", "4", "sweep", "--branching", toric_1y],
+        ["duality", "--a", toric_1y, "--b", toric_1z, "--trials", "5"],
+        ["enumerate", "--source", system, "--algebra", "1,0,1"],
+        ["enumerate", "--source", toric_1y, "--algebra", "1,1,0,0"],
+    ]
+
+
+def test_a_warm_load_gives_the_output_of_a_cold_one(tmp_path):
+    commands = _file_commands(tmp_path)
+    cold = []
+    for argv in commands:
+        cio._shared_document.cache_clear()
+        cold.append(run_clean(*argv))
+    assert {code for code, *_ in cold} == {0, 1}
+    for argv in commands:
+        run_clean(*argv)
+    misses = cio._shared_document.cache_info().misses
+    warm = [run_clean(*argv) for argv in commands]
+    assert cio._shared_document.cache_info().misses == misses  # every load was shared
+    assert warm == cold
 
 
 # --- the streamed enumerate output --------------------------------------------
@@ -336,14 +437,15 @@ def test_decimal_exponents_beyond_the_bound_name_their_field(text):
 
 # ---------------------------------------------------------------------------
 # Mutation fuzzer for the input boundary: one valid document of each kind the
-# CLI reads (a system file, a branching file, a state file and --state text),
-# changed at one place, must make every command that reads it exit 0, 1 or 2
-# without a traceback or a RuntimeWarning, and an exit 2 must name a field
-# that exists in the mutant, or the whole input.
+# CLI reads (a system file, a branching file, a state file, --state text and
+# --algebra text), changed at one place, must make every command that reads
+# it exit 0, 1 or 2 without a traceback or a RuntimeWarning, and an exit 2
+# must name a field that exists in the mutant, or the whole input.
 # ---------------------------------------------------------------------------
 
 FUZZ_ENTRIES = ["toric-1Y", "repS3-1Y", "repS3-1X"]
 FUZZ_STATES = {"toric-1Y": "1/2,0,0,1/2", "repS3-1Y": "1/3,1/3,1/3", "repS3-1X": "0,1/2,1/2"}
+FUZZ_ALGEBRAS = {"toric-1Y": "1,1,0,0", "repS3-1Y": "1,0,1", "repS3-1X": "1,1,0"}
 
 
 class Raw(str):
@@ -365,8 +467,12 @@ TEXT_MUTANTS = st.sampled_from(
     ["true", "1e400", str(10**400), "1" * 5000, "Infinity", "-inf", "nan", "NaN", "[", "zz",
      "", "1/0", "-1", "\udcff", "[" * 1000]
 )
-# Messages about the input as a whole.
+# Messages about the input as a whole, and those of one command.
 WHOLE_INPUT = ("invalid JSON", "not UTF-8 text", "document is neither", "expected an object")
+COMMAND_REFUSALS = {
+    "duality": ("duality inputs must be branching files",),
+    "enumerate": ("enumeration requires integer dims",),
+}
 
 
 def _paths(node, path=()):
@@ -395,10 +501,10 @@ def _mutate(doc, path, how, value):
     return doc
 
 
-def _names_a_field(err: str, doc) -> bool:
+def _names_a_field(err: str, doc, refusals=()) -> bool:
     assert err.startswith("error: ")
     message = err[len("error: "):].rstrip("\n")
-    if message.startswith(WHOLE_INPUT) or "does not contain branching data" in message:
+    if message.startswith(WHOLE_INPUT + refusals) or "does not contain branching data" in message:
         return True
     field = message.split(": ")[0]
     tokens = re.findall(r"\[(\d+)\]|([^.\[\]]+)", field)
@@ -441,8 +547,16 @@ def _file_mutants(draw):
     return kind, entry_id, mutant, data
 
 
+def _system_case(entry_id, path=(), value=None):
+    doc = cio.system_to_dict(ac.entry(entry_id).branching.source)
+    doc = _mutate(doc, path, "replace", value) if path else doc
+    return "system", entry_id, doc, json.dumps(doc).encode()
+
+
 @settings(max_examples=150, deadline=None)
 @given(_file_mutants())
+@example(_system_case("toric-1Y"))  # not branching data: duality refuses it
+@example(_system_case("repS3-1Y", ("dims", 2), 0.5))  # enumerate refuses non-integer dims
 def test_mutated_files_are_rejected_at_the_boundary(case):
     kind, entry_id, mutant, data = case
     state = FUZZ_STATES[entry_id]
@@ -459,11 +573,14 @@ def test_mutated_files_are_rejected_at_the_boundary(case):
                 ["condense", "--branching", path, f"--state={state}"],
                 ["entropy", "--branching", path, f"--state={state}"],
                 ["--grid-resolution", "2", "sweep", "--branching", path],
+                ["duality", "--a", path, "--b", path, "--trials", "3"],
+                ["enumerate", "--source", path, "--algebra", FUZZ_ALGEBRAS[entry_id]],
             ]
         for argv in runs:
             code, out, err = run_clean(*argv)
             if code == 2:
-                assert out == "" and _names_a_field(err, mutant), (argv, err)
+                refusals = COMMAND_REFUSALS.get(argv[0], ())
+                assert out == "" and _names_a_field(err, mutant, refusals), (argv, err)
 
 
 @settings(max_examples=60, deadline=None)
@@ -491,6 +608,29 @@ def test_mutated_state_text_is_rejected_at_the_boundary(entry_id, how, at, value
             ), err
             index = re.search(r"--state\[(\d+)\]", err)
             assert index is None or int(index.group(1)) < len(entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(FUZZ_ENTRIES),
+    st.sampled_from(["replace", "drop", "add"]),
+    st.integers(0, 3),
+    TEXT_MUTANTS,
+)
+def test_mutated_algebra_text_is_rejected_at_the_boundary(entry_id, how, at, value):
+    entries = FUZZ_ALGEBRAS[entry_id].split(",")
+    at %= len(entries)
+    if how == "drop":
+        del entries[at]
+    else:
+        entries[at : at + (how == "replace")] = [value]
+    text = ",".join(entries)
+    code, out, err = run_clean("enumerate", "--catalog", entry_id, f"--algebra={text}")
+    if code == 2:
+        assert out == ""
+        assert err.startswith(("error: --algebra[", "error: one coefficient per source sector")), err
+        index = re.search(r"--algebra\[(\d+)\]", err)
+        assert index is None or int(index.group(1)) < len(entries)
 
 
 # --- the indented writer against json.dumps(indent=2) -------------------------
