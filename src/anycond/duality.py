@@ -13,7 +13,7 @@ restrict_B(rho) = tau( restrict_A(sigma(rho)) ) for every state, which
 One rule says which relabellings count: the vacuum is fixed, quantum
 dimensions agree within ``DEFAULT_TOL`` (1e-9), and twists and antiparticle
 maps are kept when both systems declare them.  The search admits only such
-maps and the check refuses every other, both by :func:`_label_constraints`,
+maps and the check refuses every other, both by :func:`_relabelling_rule`,
 so every duality found passes it.  The search backtracks over sigma alone:
 tau(t) may then only be a condensed label whose column of n_B is column t
 of n_A read through sigma, so tau is derived rather than searched.
@@ -60,24 +60,26 @@ def _positions(perm: Mapping[str, str], domain: AnyonSystem, codomain: AnyonSyst
                rule):
     """The codomain position of each domain label's image, in domain label
     order.  Raises unless ``perm`` maps the labels bijectively and keeps
-    ``rule``, the :func:`_label_constraints` of the two systems: the vacuum
-    is fixed, and every dimension, twist and antiparticle pair is kept.  The
-    first changed dimension or twist is named in the map's own order."""
-    if set(perm) != set(domain.labels) or set(perm.values()) != set(codomain.labels):
+    ``rule``, the :func:`_relabelling_rule` of the two systems.  The first
+    changed dimension or twist is named in the map's own order, the first
+    broken antiparticle pair by its first label in domain order."""
+    fault, duals, (index_a, index_b) = rule
+    if perm.keys() != index_a.keys() or index_b.keys() != set(perm.values()):
         raise ValueError(f"{what} must map the labels bijectively")
     if perm[domain.vacuum] != codomain.vacuum:
         raise ValueError(f"{what} must fix the vacuum")
-    allowed, checks, cod_dual = rule
     at = [0] * len(domain)
     for a, image in perm.items():
-        i, j = domain.index(a), codomain.index(image)
-        if j not in allowed[i]:
-            if abs(domain.dims[i] - codomain.dims[j]) > DEFAULT_TOL:
-                raise ValueError(f"{what} does not preserve the dimension of {a!r}")
-            raise ValueError(f"{what} does not preserve the twist of {a!r}")
+        i, j = index_a[a], index_b[image]
+        # With the vacuum fixed, a bijection cannot move it: only a
+        # dimension or a twist can change here.
+        change = fault(i, j)
+        if change is not None:
+            raise ValueError(f"{what} does not preserve the {change} of {a!r}")
         at[i] = j
-    for pairs in checks:
-        for k, kbar in pairs:
+    if duals is not None:
+        dom_dual, cod_dual = duals
+        for k, kbar in enumerate(dom_dual):
             if at[kbar] != cod_dual[at[k]]:
                 label = domain.labels[k]
                 raise ValueError(f"{what} does not preserve the antiparticle of {label!r}")
@@ -88,7 +90,7 @@ def apply_permutation(duality: PermutationDuality, rho: SectorState) -> SectorSt
     """Reindex a state by the source permutation: the new weight of
     sigma(a) is the old weight of a."""
     system = rho.system
-    rule = _label_constraints(system, system)
+    rule = _relabelling_rule(system, system)
     out = np.empty_like(rho.probs)
     out[_positions(duality.source_perm, system, system, "source_perm", rule)] = rho.probs
     return _channel_output(system, out)
@@ -114,7 +116,7 @@ def verify_dualities(
     if bA.source != bB.source:
         raise ValueError("dualities compare branchings of one source system")
     source, cA, cB = bA.source, bA.condensed, bB.condensed
-    sigma_rule, tau_rule = _label_constraints(source, source), _label_constraints(cA, cB)
+    sigma_rule, tau_rule = _relabelling_rule(source, source), _relabelling_rule(cA, cB)
     moves, taus = [], []
     for d in dualities:
         sigma = _positions(d.source_perm, source, source, "source_perm", sigma_rule)
@@ -148,31 +150,59 @@ def verify_duality(
     return float(verify_dualities(bA, bB, [duality], trials, seed)[0])
 
 
+def _relabelling_rule(domain: AnyonSystem, codomain: AnyonSystem):
+    """The one rule a label bijection domain -> codomain must keep, built in
+    one pass over the labels, as ``(fault, duals, indices)``.
+
+    ``fault(i, j)`` says what relabelling domain sector i as codomain sector
+    j changes: ``"vacuum"``, ``"dimension"`` (beyond ``DEFAULT_TOL``) or
+    ``"twist"`` (when both systems declare twists); None when the rule
+    allows it.  ``duals`` holds the antiparticle indices of both systems,
+    whose pairs a bijection must keep, or is None unless both declare duals.
+    ``indices`` maps each system's labels to their positions.
+    """
+    vac_a, vac_b = domain.vacuum_index, codomain.vacuum_index
+    dims_a, dims_b = domain.dims, codomain.dims
+    twists = None
+    if domain.twist is not None and codomain.twist is not None:
+        # Twists are reduced fractions, compared as integer pairs.
+        twists = [[s.twist.get(x, 0).as_integer_ratio() for x in s.labels]
+                  for s in (domain, codomain)]
+
+    def fault(i: int, j: int):
+        if (i == vac_a) != (j == vac_b):
+            return "vacuum"
+        if not abs(dims_a[i] - dims_b[j]) <= DEFAULT_TOL:  # a nan dimension is never kept
+            return "dimension"
+        if twists is not None and twists[0][i] != twists[1][j]:
+            return "twist"
+        return None
+
+    duals = None
+    if domain.dual is not None and codomain.dual is not None:
+        duals = domain.dual_indices(), codomain.dual_indices()
+    indices = tuple({x: i for i, x in enumerate(s.labels)} for s in (domain, codomain))
+    return fault, duals, indices
+
+
 def _label_constraints(domain: AnyonSystem, codomain: AnyonSystem):
     """The sector data a label bijection domain -> codomain must keep.
 
-    Per domain index: the codomain indices the relabelling rule lets it map
-    to, and the pairs (k, dual(k)) whose images are both known once that
-    index is placed.  Last, the codomain's antiparticle indices; ``None``,
-    with no pairs, unless both systems declare duals.
+    Per domain index: the codomain indices the :func:`_relabelling_rule`
+    lets it map to, and the pairs (k, dual(k)) whose images are both known
+    once that index is placed.  Last, the codomain's antiparticle indices;
+    ``None``, with no pairs, unless both systems declare duals.
     """
-    twists = domain.twist is not None and codomain.twist is not None
+    fault, duals, _ = _relabelling_rule(domain, codomain)
     allowed = [
-        [
-            j
-            for j, (b, e) in enumerate(zip(codomain.labels, codomain.dims))
-            if (a == domain.vacuum) == (b == codomain.vacuum)
-            and abs(d - e) <= DEFAULT_TOL
-            and (not twists or domain.twist.get(a, 0) == codomain.twist.get(b, 0))
-        ]
-        for a, d in zip(domain.labels, domain.dims)
+        [j for j in range(len(codomain)) if fault(i, j) is None] for i in range(len(domain))
     ]
     checks = [[] for _ in domain.labels]
-    if domain.dual is None or codomain.dual is None:
+    if duals is None:
         return allowed, checks, None
-    for k, kbar in enumerate(domain.dual_indices()):
+    for k, kbar in enumerate(duals[0]):
         checks[max(k, kbar)].append((k, kbar))
-    return allowed, checks, codomain.dual_indices()
+    return allowed, checks, duals[1]
 
 
 def _bijections(constraints, fits):

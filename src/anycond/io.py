@@ -9,8 +9,8 @@ Every input number, in a file or on the command line, passes one of three
 rules (:func:`reals`, :func:`_fractions`, :func:`_counts`), which reject
 booleans, non-finite and out-of-range values with a :class:`SchemaError`.
 
-:func:`load` reads its file on every call and returns one shared document
-per distinct text, so a process parses, validates and compiles a file once.
+:func:`load` reads and parses its file on every call and returns a new
+document, which is validated and compiled again where a command needs it.
 """
 
 from __future__ import annotations
@@ -18,11 +18,15 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import sys
 from fractions import Fraction
+from itertools import chain, repeat
 from pathlib import Path
 from reprlib import repr as _show
 from typing import Union
+
+import numpy as np
 
 from .branching import BranchingData
 from .channels import SectorState
@@ -85,13 +89,41 @@ def _exact(x, kind: str):
     raise ValueError(f"not {kind}: {_show(x)}")
 
 
+def _real(x) -> float:
+    # The real rule on one entry; raises ValueError.
+    value = _exact(x, "a number")
+    # Range-checked by integer comparison, so float() cannot overflow.
+    if abs(value.numerator) > _FLOAT_MAX * value.denominator:
+        raise ValueError("too large for a float")
+    return float(value)
+
+
 def reals(values: list, field: str, name_entries: bool = True) -> list[float]:
     """The real rule on each entry of a list: a JSON number or a fraction
     string, as a finite float.  Each distinct string is parsed once.  An
     error names the entry ``field[i]``, or the list without ``name_entries``."""
     if not isinstance(values, list):
         raise SchemaError(field, "expected a list of numbers")
+
+    def refuse(i: int, exc: ValueError) -> SchemaError:
+        if name_entries:
+            return SchemaError(f"{field}[{i}]", str(exc))
+        return SchemaError(field, f"an entry is {exc}")
+
+    kinds = set(map(type, values))
+    # A finite sum has no infinite or nan term: such a list of floats passes.
+    if kinds == {float} and math.isfinite(sum(values)):
+        return list(values)
     parsed: dict[str, float] = {}
+    if kinds == {str}:
+        # In order of first appearance, so the first bad string is the first
+        # bad entry.
+        for x in dict.fromkeys(values):
+            try:
+                parsed[x] = _real(x)
+            except ValueError as exc:
+                raise refuse(values.index(x), exc) from None
+        return list(map(parsed.__getitem__, values))
     out = []
     for i, x in enumerate(values):
         if isinstance(x, float) and math.isfinite(x):
@@ -100,15 +132,9 @@ def reals(values: list, field: str, name_entries: bool = True) -> list[float]:
             out.append(parsed[x])
         else:
             try:
-                value = _exact(x, "a number")
-                # Range-checked by integer comparison, so float() cannot overflow.
-                if abs(value.numerator) > _FLOAT_MAX * value.denominator:
-                    raise ValueError("too large for a float")
+                out.append(_real(x))
             except ValueError as exc:
-                if name_entries:
-                    raise SchemaError(f"{field}[{i}]", str(exc)) from None
-                raise SchemaError(field, f"an entry is {exc}") from None
-            out.append(float(value))
+                raise refuse(i, exc) from None
             if isinstance(x, str):
                 parsed[x] = out[-1]
     return out
@@ -187,13 +213,13 @@ def system_from_dict(data, path: str = "") -> AnyonSystem:
         if field not in data:
             raise SchemaError(f"{path}{field}", "missing")
     labels = data["labels"]
-    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+    if not isinstance(labels, list) or not all(map(isinstance, labels, repeat(str))):
         raise SchemaError(f"{path}labels", "expected a list of strings")
     field = f"{path}dims"
     dims = reals(data["dims"], field, name_entries=False)
     if len(dims) != len(labels):
         raise SchemaError(field, f"{len(dims)} entries for {len(labels)} labels")
-    if not math.isfinite(sum(d * d for d in dims)):
+    if not math.isfinite(sum(map(operator.mul, dims, dims))):
         raise SchemaError(field, "the squares of the entries do not sum to a finite float")
     if not isinstance(data["vacuum"], str):
         raise SchemaError(f"{path}vacuum", "expected a string")
@@ -201,8 +227,10 @@ def system_from_dict(data, path: str = "") -> AnyonSystem:
     dual = None
     if "dual" in data:
         raw = data["dual"]
-        if not isinstance(raw, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in raw.items()
+        if not (
+            isinstance(raw, dict)
+            and all(map(isinstance, raw, repeat(str)))
+            and all(map(isinstance, raw.values(), repeat(str)))
         ):
             raise SchemaError(f"{path}dual", "expected an object mapping labels to labels")
         dual = raw
@@ -306,11 +334,27 @@ def branching_from_dict(data, path: str = "") -> BranchingData:
     rows = data["n"]
     if not isinstance(rows, list) or len(rows) != len(source):
         raise SchemaError(f"{path}n", f"expected {len(source)} rows")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != len(condensed):
-            raise SchemaError(f"{path}n[{i}]", f"expected {len(condensed)} entries")
-        _counts(row, f"{path}n[{i}]")
-    return BranchingData(source, condensed, rows)  # shape and entries are checked
+    matrix = _count_matrix(rows, len(condensed))
+    if matrix is None:
+        # Row by row, which names the first bad row or entry.
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != len(condensed):
+                raise SchemaError(f"{path}n[{i}]", f"expected {len(condensed)} entries")
+            _counts(row, f"{path}n[{i}]")
+        matrix = rows
+    return BranchingData(source, condensed, matrix)  # shape and entries are checked
+
+
+def _count_matrix(rows: list, width: int) -> np.ndarray | None:
+    # The rows as an int64 array when each is a list of ``width`` ints in
+    # [0, 2**63), the shape and count rule that :func:`branching_from_dict`
+    # names entry by entry, here checked in a few passes at C speed; else None.
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {width}:
+        return None
+    entries = list(chain.from_iterable(rows))
+    if set(map(type, entries)) != {int} or min(entries) < 0 or max(entries) >= 2**63:
+        return None
+    return np.array(entries, dtype=np.int64).reshape(len(rows), width)
 
 
 def state_from_dict(data, system: AnyonSystem, path: str = "") -> SectorState:
@@ -369,27 +413,8 @@ def _read(path: str | Path) -> str:
         raise SchemaError("", f"not UTF-8 text: {exc}") from None
 
 
-# The most documents :func:`load` keeps at once, each with its text, its
-# validation reports and its compiled channels; a process that loads more
-# distinct texts parses the least recently used again.
-LOAD_CACHE_SIZE = 32
-
-
-@functools.lru_cache(maxsize=LOAD_CACHE_SIZE)
-def _shared_document(text: str) -> Document:
-    return loads(text)
-
-
 def load(path: str | Path) -> Document:
-    """The document in the file at ``path``, read on every call.
-
-    Documents are immutable, so one object is shared per distinct text: a
-    file rewritten in place is parsed again, the same bytes under two paths
-    give the same object, and a rejected file raises its
-    :class:`SchemaError` on every load.  At most ``LOAD_CACHE_SIZE``
-    documents are kept, with their texts, their validation reports and
-    their compiled channels.  :func:`loads` builds a new object."""
-    return _shared_document(_read(path))
+    return loads(_read(path))
 
 
 def load_state(path: str | Path, system: AnyonSystem) -> SectorState:

@@ -13,6 +13,7 @@ probability vector elsewhere in the package indexes sectors by this order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -105,7 +106,7 @@ class AnyonSystem:
     def __post_init__(self):
         labels = tuple(str(x) for x in self.labels)
         try:
-            dims = tuple(float(d) for d in self.dims)
+            dims = tuple(map(float, self.dims))
         except OverflowError:
             raise ValueError("a dim is too large for a float") from None
         position = {label: i for i, label in enumerate(labels)}
@@ -147,9 +148,13 @@ class AnyonSystem:
     def dim_of(self, label: str) -> float:
         return self.dims[self.index(label)]
 
-    @property
+    @functools.cached_property
     def dim_array(self) -> np.ndarray:
-        return np.asarray(self.dims, dtype=float)
+        """Read-only array of the quantum dimensions, in label order, built
+        on first use."""
+        dims = np.array(self.dims, dtype=float)
+        dims.setflags(write=False)
+        return dims
 
     @property
     def vacuum_index(self) -> int:

@@ -486,17 +486,18 @@ def test_a_changed_twist_is_refused(toric_1y, toric_1z):
 
 def test_a_broken_antiparticle_pair_is_refused():
     # On Z_4 the swap of 1 and 2 keeps dims and twists, but 1 and 3 are
-    # antiparticles while 2 and 3 are not.
+    # antiparticles while 2 and 3 are not; the first label in label order
+    # whose pair breaks is named.
     b = ac.trivial_condensation(zn_system(4))
     ident = {a: a for a in b.source.labels}
     swap = {**ident, "1": "2", "2": "1"}
     conjugation = {**ident, "1": "3", "3": "1"}
     assert ac.verify_duality(b, b, ac.PermutationDuality(conjugation, conjugation)) == 0.0
-    with pytest.raises(ValueError, match="^source_perm does not preserve the antiparticle of '2'$"):
+    with pytest.raises(ValueError, match="^source_perm does not preserve the antiparticle of '1'$"):
         ac.apply_permutation(ac.PermutationDuality(swap, {}), ac.SectorState(b.source, [0.25] * 4))
     for duality, what in ((ac.PermutationDuality(swap, ident), "source_perm"),
                           (ac.PermutationDuality(ident, swap), "condensed_perm")):
-        with pytest.raises(ValueError, match=f"^{what} does not preserve the antiparticle of '2'$"):
+        with pytest.raises(ValueError, match=f"^{what} does not preserve the antiparticle of '1'$"):
             ac.verify_duality(b, b, duality)
 
 
@@ -520,3 +521,29 @@ def test_apply_permutation_is_a_read_only_scatter(catalog_entry):
         out = ac.apply_permutation(duality, rho)
         assert out == ac.SectorState(source, want)
         assert out.system is source and not out.probs.flags.writeable
+
+
+THREE_CYCLES = {
+    "toric-1Y-plain": (lambda: _strip(ac.entry("toric-1Y").branching.source, False, False),
+                       {"1": "1", "Y": "X", "X": "Z", "Z": "Y"}),
+    "mixed-rows-6": (lambda: MIXED_ROWS["mixed-rows-6"]().source,
+                     {"a": "a", "b": "c", "c": "d", "d": "b", "e": "f", "f": "e"}),
+}
+
+
+@pytest.mark.parametrize("name", THREE_CYCLES)
+def test_apply_permutation_scatters_a_three_cycle(name):
+    # A 3-cycle is not its own inverse, so a gather would put the weights
+    # elsewhere; every catalog relabelling is an involution.
+    make, sigma = THREE_CYCLES[name]
+    source = make()
+    weights = np.arange(1.0, len(source) + 1)
+    rho = ac.SectorState(source, weights / weights.sum())
+    want = np.empty(len(source))
+    for a, p in zip(source.labels, rho.probs):
+        want[source.index(sigma[a])] = p
+    gathered = rho.probs[[source.index(sigma[a]) for a in source.labels]]
+    assert not np.array_equal(gathered, want)
+    out = ac.apply_permutation(ac.PermutationDuality(sigma, {}), rho)
+    assert out == ac.SectorState(source, want)
+    assert out.system is source and not out.probs.flags.writeable

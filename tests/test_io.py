@@ -156,7 +156,7 @@ def test_twists_round_trip_exactly(tmp_path):
     assert cio.load(path).twist["X"] == system.twist["X"]
 
 
-# --- one shared document per distinct text -----------------------------------
+# --- loading a file ------------------------------------------------------------
 
 TORIC_STATE = "0.1,0.2,0.3,0.4"
 
@@ -177,12 +177,11 @@ def test_a_file_rewritten_in_place_is_read_again(tmp_path):
     assert after != before
 
 
-def test_the_same_bytes_under_two_paths_are_one_document(tmp_path):
-    first, second = tmp_path / "a.json", tmp_path / "b.json"
-    cio.save(ac.entry("toric-1Y").branching, first)
-    second.write_bytes(first.read_bytes())
-    assert cio.load(first) is cio.load(second)
-    assert cio.loads(first.read_text()) is not cio.load(first)
+def test_each_load_builds_a_new_document(tmp_path):
+    path = tmp_path / "branching.json"
+    cio.save(ac.entry("toric-1Y").branching, path)
+    first, second = cio.load(path), cio.load(path)
+    assert first is not second and first == second
 
 
 def test_a_rejected_file_raises_on_every_load_until_it_is_fixed(tmp_path):
@@ -190,32 +189,13 @@ def test_a_rejected_file_raises_on_every_load_until_it_is_fixed(tmp_path):
     doc = _toric_doc()
     doc["n"][0][0] = -1
     path.write_text(json.dumps(doc))
-    cio._shared_document.cache_clear()
     for _ in range(3):
         with pytest.raises(cio.SchemaError) as err:
             cio.load(path)
         assert err.value.field == "n[0][0]"
-    assert cio._shared_document.cache_info().currsize == 0
     doc["n"][0][0] = 1
     path.write_text(json.dumps(doc))
     assert cio.load(path) == ac.entry("toric-1Y").branching
-
-
-def test_at_most_load_cache_size_documents_are_kept(tmp_path):
-    text = cio.dumps(toric_system())
-    cio._shared_document.cache_clear()
-    paths = [tmp_path / f"system{k}.json" for k in range(cio.LOAD_CACHE_SIZE + 5)]
-    for k, path in enumerate(paths):
-        path.write_text(text + " " * k)  # distinct texts of one system
-    first = cio.load(paths[0])
-    assert cio.load(paths[0]) is first
-    for path in paths[1:]:
-        cio.load(path)
-    info = cio._shared_document.cache_info()
-    assert info.maxsize == info.currsize == cio.LOAD_CACHE_SIZE
-    # The least recently used text was dropped, so it is parsed again.
-    again = cio.load(paths[0])
-    assert again is not first and again == first
 
 
 def _file_commands(tmp_path):
@@ -241,19 +221,11 @@ def _file_commands(tmp_path):
     ]
 
 
-def test_a_warm_load_gives_the_output_of_a_cold_one(tmp_path):
+def test_file_commands_print_the_same_on_every_run_in_one_process(tmp_path):
     commands = _file_commands(tmp_path)
-    cold = []
-    for argv in commands:
-        cio._shared_document.cache_clear()
-        cold.append(run_clean(*argv))
-    assert {code for code, *_ in cold} == {0, 1}
-    for argv in commands:
-        run_clean(*argv)
-    misses = cio._shared_document.cache_info().misses
-    warm = [run_clean(*argv) for argv in commands]
-    assert cio._shared_document.cache_info().misses == misses  # every load was shared
-    assert warm == cold
+    first = [run_clean(*argv) for argv in commands]
+    assert {code for code, *_ in first} == {0, 1}
+    assert [run_clean(*argv) for argv in commands] == first
 
 
 # --- the streamed enumerate output --------------------------------------------

@@ -201,18 +201,8 @@ def test_loading_and_validating_builds_a_fixed_number_of_fractions(monkeypatch, 
         assert cli.main(["validate", str(path)]) == 0
         assert cli.main(["entropy", "--branching", str(path), "--state", state]) == 0
 
-    # The three loads share one document: the one twist string "0" of its
-    # source and of its condensed system, and the one distinct state entry.
-    cio._shared_document.cache_clear()
-    assert _fractions_built(monkeypatch, run) == 3
-    # Parsed afresh, each of the three loads builds the two twists again.
-    shared_load = cio.load
-
-    def cold_load(path):
-        cio._shared_document.cache_clear()
-        return shared_load(path)
-
-    monkeypatch.setattr(cio, "load", cold_load)
+    # The one twist string "0" of the source and of the condensed system in
+    # each of the three loads, and the one distinct state entry.
     assert _fractions_built(monkeypatch, run) == 7
     capsys.readouterr()
 
