@@ -230,13 +230,10 @@ def _validate_branching(b: BranchingData, tol: float) -> ValidationReport:
         sub = validate_system(system, tol)
         bad.extend(Violation(f"{prefix}:{v.rule}", v.detail) for v in sub.violations)
 
-    phi = b.vacuum_column_index
     lam = jones_index(b)
 
     vac_row = b.n[b.source.vacuum_index]
-    want = np.zeros(len(b.condensed), dtype=np.int64)
-    want[phi] = 1
-    if not np.array_equal(vac_row, want):
+    if not (vac_row[b.vacuum_column_index] == 1 and np.count_nonzero(vac_row) == 1):
         bad.append(
             Violation("vacuum-row", "source vacuum must restrict to the condensed vacuum alone")
         )
@@ -247,21 +244,17 @@ def _validate_branching(b: BranchingData, tol: float) -> ValidationReport:
         if not np.any(b.n[:, j]):
             bad.append(Violation("empty-column", f"condensed sector {label!r} receives nothing"))
 
-    if b.source.dual is not None and b.condensed.dual is not None:
-        n = b.n
-        flipped = n[b.source.dual_indices()][:, b.condensed.dual_indices()]
-        for i, j in zip(*np.nonzero(flipped != n)):
+    rows, cols = b.source.antiparticles, b.condensed.antiparticles
+    if rows is not None and cols is not None:
+        flipped = b.n[np.ix_(rows, cols)]
+        for i, j in zip(*np.nonzero(flipped != b.n)):
             a, t = b.source.labels[i], b.condensed.labels[j]
-            bad.append(
-                Violation(
-                    "dual-symmetry",
-                    f"n[{a!r},{t!r}] = {n[i, j]} but the antiparticle entry is {flipped[i, j]}",
-                )
-            )
+            detail = f"n[{a!r},{t!r}] = {b.n[i, j]} but the antiparticle entry is {flipped[i, j]}"
+            bad.append(Violation("dual-symmetry", detail))
     else:
         unchecked.append("dual-symmetry")
 
-    if b.source.twist is not None:
+    if b.source.twist_ratios is not None:
         bad.extend(boson_violations(b.source, b.vacuum_column))
     else:
         unchecked.append("boson-condition")

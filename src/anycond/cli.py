@@ -222,12 +222,6 @@ def _reprs(x: np.ndarray) -> list[str]:
     return texts[inverse].tolist()
 
 
-def _simplex_grid(parts: int, resolution: int):
-    # The grid points as tuples, in the order sweep prints them.
-    for batch in _grid_batches(parts, resolution, SWEEP_CHUNK):
-        yield from map(tuple, _batch_counts(batch, parts)[0].tolist())
-
-
 def cmd_sweep(args) -> int:
     b = _load_branching(args)
     if not _require_valid(b, args):
@@ -288,6 +282,8 @@ def cmd_enumerate(args) -> int:
             source, algebra, args.max_sectors, args.max_dim, args.tolerance
         )
     except ValueError as exc:
+        if "integer dims" in str(exc) and not args.catalog:  # the source file's dims
+            raise cio.SchemaError("dims" if source is doc else "source.dims", str(exc)) from None
         raise UsageError(str(exc)) from None
     with _output(args) as out:
         cio.dump_branchings(results, out)

@@ -14,9 +14,11 @@ One rule says which relabellings count: the vacuum is fixed, quantum
 dimensions agree within ``DEFAULT_TOL`` (1e-9), and twists and antiparticle
 maps are kept when both systems declare them.  The search admits only such
 maps and the check refuses every other, both by :func:`_relabelling_rule`,
-so every duality found passes it.  The search backtracks over sigma alone:
-tau(t) may then only be a condensed label whose column of n_B is column t
-of n_A read through sigma, so tau is derived rather than searched.
+so every duality found passes it.  The data it reads live in one place,
+each system's sector table (see :class:`~anycond.systems.AnyonSystem`).
+The search backtracks over sigma alone: tau(t) may then only be a
+condensed label whose column of n_B is column t of n_A read through sigma,
+so tau is derived rather than searched.
 """
 
 from __future__ import annotations
@@ -57,13 +59,13 @@ class PermutationDuality:
 
 
 def _positions(perm: Mapping[str, str], domain: AnyonSystem, codomain: AnyonSystem, what: str,
-               rule):
+               fault):
     """The codomain position of each domain label's image, in domain label
-    order.  Raises unless ``perm`` maps the labels bijectively and keeps
-    ``rule``, the :func:`_relabelling_rule` of the two systems.  The first
-    changed dimension or twist is named in the map's own order, the first
-    broken antiparticle pair by its first label in domain order."""
-    fault, duals, (index_a, index_b) = rule
+    order.  Raises unless ``perm`` maps the labels bijectively and keeps the
+    rule: ``fault``, the :func:`_relabelling_rule` of the two systems, and
+    the antiparticle pairs.  The first changed dimension or twist is named in
+    the map's own order, the first broken pair by its first domain label."""
+    index_a, index_b = domain._position, codomain._position
     if perm.keys() != index_a.keys() or index_b.keys() != set(perm.values()):
         raise ValueError(f"{what} must map the labels bijectively")
     if perm[domain.vacuum] != codomain.vacuum:
@@ -77,8 +79,8 @@ def _positions(perm: Mapping[str, str], domain: AnyonSystem, codomain: AnyonSyst
         if change is not None:
             raise ValueError(f"{what} does not preserve the {change} of {a!r}")
         at[i] = j
-    if duals is not None:
-        dom_dual, cod_dual = duals
+    dom_dual, cod_dual = domain.antiparticles, codomain.antiparticles
+    if dom_dual is not None and cod_dual is not None:
         for k, kbar in enumerate(dom_dual):
             if at[kbar] != cod_dual[at[k]]:
                 label = domain.labels[k]
@@ -90,9 +92,9 @@ def apply_permutation(duality: PermutationDuality, rho: SectorState) -> SectorSt
     """Reindex a state by the source permutation: the new weight of
     sigma(a) is the old weight of a."""
     system = rho.system
-    rule = _relabelling_rule(system, system)
+    fault = _relabelling_rule(system, system)
     out = np.empty_like(rho.probs)
-    out[_positions(duality.source_perm, system, system, "source_perm", rule)] = rho.probs
+    out[_positions(duality.source_perm, system, system, "source_perm", fault)] = rho.probs
     return _channel_output(system, out)
 
 
@@ -116,13 +118,13 @@ def verify_dualities(
     if bA.source != bB.source:
         raise ValueError("dualities compare branchings of one source system")
     source, cA, cB = bA.source, bA.condensed, bB.condensed
-    sigma_rule, tau_rule = _relabelling_rule(source, source), _relabelling_rule(cA, cB)
+    sigma_fault, tau_fault = _relabelling_rule(source, source), _relabelling_rule(cA, cB)
     moves, taus = [], []
     for d in dualities:
-        sigma = _positions(d.source_perm, source, source, "source_perm", sigma_rule)
+        sigma = _positions(d.source_perm, source, source, "source_perm", sigma_fault)
         # sigma moves the weight of a to b = sigma(a), so the gather reads b from a.
         moves.append(sorted(range(len(source)), key=sigma.__getitem__))
-        taus.append(_positions(d.condensed_perm, cA, cB, "condensed_perm", tau_rule))
+        taus.append(_positions(d.condensed_perm, cA, cB, "condensed_perm", tau_fault))
     if not dualities:
         return np.empty(0)
     moves, taus = np.array(moves), np.array(taus)
@@ -151,38 +153,27 @@ def verify_duality(
 
 
 def _relabelling_rule(domain: AnyonSystem, codomain: AnyonSystem):
-    """The one rule a label bijection domain -> codomain must keep, built in
-    one pass over the labels, as ``(fault, duals, indices)``.
-
-    ``fault(i, j)`` says what relabelling domain sector i as codomain sector
-    j changes: ``"vacuum"``, ``"dimension"`` (beyond ``DEFAULT_TOL``) or
-    ``"twist"`` (when both systems declare twists); None when the rule
-    allows it.  ``duals`` holds the antiparticle indices of both systems,
-    whose pairs a bijection must keep, or is None unless both declare duals.
-    ``indices`` maps each system's labels to their positions.
-    """
+    """The one rule a label bijection domain -> codomain must keep, sector by
+    sector, as ``fault(i, j)``: what relabelling domain sector i as codomain
+    sector j changes, ``"vacuum"``, ``"dimension"`` (beyond ``DEFAULT_TOL``)
+    or ``"twist"`` (when both systems declare twists); None when it is kept.
+    Its callers check the rest of the rule, the antiparticle pairs when both
+    systems declare duals, from each system's ``antiparticles``."""
     vac_a, vac_b = domain.vacuum_index, codomain.vacuum_index
     dims_a, dims_b = domain.dims, codomain.dims
-    twists = None
-    if domain.twist is not None and codomain.twist is not None:
-        # Twists are reduced fractions, compared as integer pairs.
-        twists = [[s.twist.get(x, 0).as_integer_ratio() for x in s.labels]
-                  for s in (domain, codomain)]
+    twists_a, twists_b = domain.twist_ratios, codomain.twist_ratios
+    twists = twists_a is not None and twists_b is not None
 
     def fault(i: int, j: int):
         if (i == vac_a) != (j == vac_b):
             return "vacuum"
         if not abs(dims_a[i] - dims_b[j]) <= DEFAULT_TOL:  # a nan dimension is never kept
             return "dimension"
-        if twists is not None and twists[0][i] != twists[1][j]:
+        if twists and twists_a[i] != twists_b[j]:
             return "twist"
         return None
 
-    duals = None
-    if domain.dual is not None and codomain.dual is not None:
-        duals = domain.dual_indices(), codomain.dual_indices()
-    indices = tuple({x: i for i, x in enumerate(s.labels)} for s in (domain, codomain))
-    return fault, duals, indices
+    return fault
 
 
 def _label_constraints(domain: AnyonSystem, codomain: AnyonSystem):
@@ -190,19 +181,18 @@ def _label_constraints(domain: AnyonSystem, codomain: AnyonSystem):
 
     Per domain index: the codomain indices the :func:`_relabelling_rule`
     lets it map to, and the pairs (k, dual(k)) whose images are both known
-    once that index is placed.  Last, the codomain's antiparticle indices;
-    ``None``, with no pairs, unless both systems declare duals.
+    once that index is placed, none unless both systems declare duals.
+    Last, the codomain's antiparticle positions.
     """
-    fault, duals, _ = _relabelling_rule(domain, codomain)
+    fault = _relabelling_rule(domain, codomain)
     allowed = [
         [j for j in range(len(codomain)) if fault(i, j) is None] for i in range(len(domain))
     ]
     checks = [[] for _ in domain.labels]
-    if duals is None:
-        return allowed, checks, None
-    for k, kbar in enumerate(duals[0]):
-        checks[max(k, kbar)].append((k, kbar))
-    return allowed, checks, duals[1]
+    if domain.antiparticles is not None and codomain.antiparticles is not None:
+        for k, kbar in enumerate(domain.antiparticles):
+            checks[max(k, kbar)].append((k, kbar))
+    return allowed, checks, codomain.antiparticles
 
 
 def _bijections(constraints, fits):

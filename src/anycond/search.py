@@ -128,9 +128,11 @@ def enumerate_branchings(
     if max_sectors < 1 or max_dim < 1:
         raise ValueError("max_sectors and max_dim must be at least 1")
 
-    if not source.is_integral(tol):
-        raise ValueError(f"enumeration requires integer dims, within {tol}")
     d = [round(x) for x in source.dims]
+    for label, x, di in zip(source.labels, source.dims, d):
+        if not abs(x - di) <= tol:
+            raise ValueError(f"enumeration requires integer dims, within {tol}, "
+                             f"but sector {label!r} has d = {x!r}")
     coeff = algebra.coefficients
     if not validate_system(source, tol).ok or boson_violations(source, coeff):
         return []

@@ -8,21 +8,24 @@ enable additional consistency checks downstream; their absence is reported
 as "unchecked", never as "passed".
 
 Label order is significant and fixed at construction.  Every matrix and
-probability vector elsewhere in the package indexes sectors by this order.
+probability vector elsewhere in the package indexes sectors by this order,
+and so does each system's sector table: the vacuum position, antiparticle
+positions, twists and dims, built once on construction and read-only.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+_ZERO = Fraction(0)  # the twist of a label that the twist map omits
 
 
 @dataclass(frozen=True)
@@ -93,8 +96,16 @@ class AnyonSystem:
         of a full turn and compared exactly, in a read-only mapping.  The
         trivial twist is 0.
 
-    A system is immutable, so one instance can be shared, as the catalog
-    shares its entries.
+    Construction builds the sector table once, as read-only attributes in
+    label order that the other modules read: ``vacuum_index``;
+    ``antiparticles``, the position of each sector's antiparticle (a label
+    the dual map omits is its own), or None without dual data;
+    ``twist_ratios``, each reduced twist as an integer pair (a label the
+    twist map omits has (0, 1)), or None without twist data; ``twisted``, a
+    boolean array of the sectors whose twist is not trivial; and
+    ``dim_array``, the dims as a float array.  The table is not a dataclass
+    field, so ``==`` and ``repr`` ignore it.  A system is immutable, so one
+    instance can be shared, as the catalog shares its entries.
     """
 
     labels: tuple[str, ...]
@@ -110,21 +121,20 @@ class AnyonSystem:
         except OverflowError:
             raise ValueError("a dim is too large for a float") from None
         position = {label: i for i, label in enumerate(labels)}
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "_position", position)
         if len(position) != len(labels):
             raise ValueError("sector labels must be unique")
         if len(dims) != len(labels):
             raise ValueError(f"got {len(dims)} dims for {len(labels)} labels")
         if self.vacuum not in labels:
             raise ValueError(f"vacuum label {self.vacuum!r} is not a sector")
+        antiparticles = ratios = None
         if self.dual is not None:
             dual = {str(k): str(v) for k, v in self.dual.items()}
             unknown = (dual.keys() | set(dual.values())) - position.keys()
             if unknown:
                 raise ValueError(f"dual map references unknown labels {sorted(unknown)}")
             object.__setattr__(self, "dual", MappingProxyType(dual))
+            antiparticles = tuple([position[dual.get(a, a)] for a in labels])
         twisted = np.zeros(len(labels), dtype=bool)
         if self.twist is not None:
             twist = {str(k): _normalize_twist(v) for k, v in self.twist.items()}
@@ -132,9 +142,16 @@ class AnyonSystem:
             if unknown:
                 raise ValueError(f"twist data references unknown labels {sorted(unknown)}")
             object.__setattr__(self, "twist", MappingProxyType(twist))
-            twisted[[position[a] for a, t in twist.items() if t]] = True
+            # Integer pairs compare faster than Fractions.
+            ratios = tuple(map(Fraction.as_integer_ratio, map(twist.get, labels, repeat(_ZERO))))
+            twisted[[i for i, (numerator, _) in enumerate(ratios) if numerator]] = True
+        dim_array = np.array(dims)
         twisted.setflags(write=False)
-        object.__setattr__(self, "_twisted", twisted)
+        dim_array.setflags(write=False)
+        self.__dict__.update(
+            labels=labels, dims=dims, _position=position, vacuum_index=position[self.vacuum],
+            antiparticles=antiparticles, twist_ratios=ratios, twisted=twisted, dim_array=dim_array,
+        )
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -147,29 +164,6 @@ class AnyonSystem:
 
     def dim_of(self, label: str) -> float:
         return self.dims[self.index(label)]
-
-    @functools.cached_property
-    def dim_array(self) -> np.ndarray:
-        """Read-only array of the quantum dimensions, in label order, built
-        on first use."""
-        dims = np.array(self.dims, dtype=float)
-        dims.setflags(write=False)
-        return dims
-
-    @property
-    def vacuum_index(self) -> int:
-        return self.index(self.vacuum)
-
-    def dual_indices(self) -> list[int]:
-        """Position of the antiparticle of each sector, in label order; a
-        label the dual map omits is its own antiparticle.  Needs dual data."""
-        return [self._position[self.dual.get(a, a)] for a in self.labels]
-
-    @property
-    def twisted(self) -> np.ndarray:
-        """Read-only mask, in label order, of the sectors whose twist is not
-        trivial; all false when the system declares no twists."""
-        return self._twisted
 
     def is_integral(self, tol: float = DEFAULT_TOL) -> bool:
         """True when every quantum dimension is an integer within ``tol``."""
@@ -199,12 +193,11 @@ def validate_system(system: AnyonSystem, tol: float = DEFAULT_TOL) -> Validation
     bad: list[Violation] = []
     unchecked: list[str] = []
 
-    for label in system.labels:
-        if not label:
-            bad.append(Violation("label-empty", "empty sector label"))
+    if "" in system._position:
+        bad.append(Violation("label-empty", "empty sector label"))
 
     dims, position = system.dims, system._position
-    d_vac = dims[position[system.vacuum]]
+    d_vac = dims[system.vacuum_index]
     if abs(d_vac - 1.0) > tol:
         bad.append(Violation("vacuum-dim", f"vacuum dimension != 1 (got {d_vac!r})"))
     for label, d in zip(system.labels, dims):

@@ -226,10 +226,10 @@ def test_criterion_4_bimodule_property():
 
 
 def _sweep_values(b, resolution):
-    from anycond.cli import _simplex_grid
+    from sweep_grid import sweep_grid
 
     values = []
-    for combo in _simplex_grid(len(b.source), resolution):
+    for combo in sweep_grid(len(b.source), resolution):
         probs = [k / resolution for k in combo]
         values.append(
             (ac.order_parameter(b, ac.SectorState(b.source, probs)).order_parameter, probs)

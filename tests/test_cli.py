@@ -314,6 +314,23 @@ def test_enumerate_bad_algebra_is_usage_error(capsys):
     assert "error" in err
 
 
+def test_enumerate_names_the_file_field_and_sector_of_a_non_integer_dim(tmp_path):
+    system = ac.AnyonSystem(("1", "a", "b"), (1.0, 1.5, 2.5), "1")
+    branching = ac.BranchingData(system, system, np.eye(3, dtype=int))
+    for doc, field in ((system, "dims"), (branching, "source.dims")):
+        path = tmp_path / f"{field}.json"
+        cio.save(doc, path)
+        code, out, err = run_clean("enumerate", "--source", str(path), "--algebra", "1,0,0")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {field}: enumeration requires integer dims, within 1e-09, "
+            "but sector 'a' has d = 1.5\n"
+        )
+        # A refusal that is not about the file's dims names no field.
+        code, out, err = run_clean("enumerate", "--source", str(path), "--algebra", "1,0")
+        assert (code, out, err) == (2, "", "error: one coefficient per source sector required\n")
+
+
 def test_duality_cli_finds_the_swap(capsys):
     code, out, _ = run(
         capsys, "duality", "--catalog-a", "toric-1Y", "--catalog-b", "toric-1Z"

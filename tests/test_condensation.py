@@ -10,10 +10,10 @@ import pytest
 
 import anycond as ac
 from anycond.channels import condensation
-from anycond.cli import _simplex_grid
 from anycond.entropy import order_parameter_rows
 
 from exact_reference import ExactCondensation
+from sweep_grid import sweep_grid
 
 TOL = 1e-12
 
@@ -27,7 +27,7 @@ def _exact(b):
 def _rational_states(b, count=50, seed=3):
     """The resolution-4 simplex grid, then seeded random rational states."""
     k = len(b.source)
-    states = [[Fraction(x, 4) for x in combo] for combo in _simplex_grid(k, 4)]
+    states = [[Fraction(x, 4) for x in combo] for combo in sweep_grid(k, 4)]
     rng = np.random.default_rng(seed)
     for _ in range(count):
         weights = [int(x) for x in rng.integers(0, 20, size=k)]

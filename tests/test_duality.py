@@ -1,6 +1,8 @@
 """Permutation dualities between condensation patterns."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -547,3 +549,124 @@ def test_apply_permutation_scatters_a_three_cycle(name):
     out = ac.apply_permutation(ac.PermutationDuality(sigma, {}), rho)
     assert out == ac.SectorState(source, want)
     assert out.system is source and not out.probs.flags.writeable
+
+
+# --- the check side of the rule against the oracle, map by map ----------------
+
+
+def _variants(system):
+    """The system and copies that differ in the data the rule reads: no
+    twists or duals, twists only, duals only, two partial dual maps (a label
+    a map omits is its own antiparticle), one pairing the first and last
+    non-vacuum sectors and one naming the first alone, the last sector's
+    twist moved by half a turn, and its dim off by 1e-7 (beyond the
+    tolerance) and by 1e-10 (within)."""
+    labels, dims, vacuum = system.labels, system.dims, system.vacuum
+    dual, twist = system.dual, system.twist
+    first, last = labels[1], labels[-1]
+
+    def bumped(by):
+        return ac.AnyonSystem(labels, dims[:-1] + (dims[-1] + by,), vacuum, dual, twist)
+
+    return {
+        "full": system,
+        "plain": _strip(system, False, False),
+        "twist-only": _strip(system, False, True),
+        "dual-only": _strip(system, True, False),
+        "paired-dual": ac.AnyonSystem(labels, dims, vacuum, {first: last, last: first}, twist),
+        "one-entry-dual": ac.AnyonSystem(labels, dims, vacuum, {first: first}, twist),
+        "twist+1/2": ac.AnyonSystem(
+            labels, dims, vacuum, dual, {**twist, last: twist[last] + Fraction(1, 2)}
+        ),
+        "dim+1e-7": bumped(1e-7),
+        "dim+1e-10": bumped(1e-10),
+    }
+
+
+def _first_fault(domain, codomain, perm, tol=1e-9):
+    """What the rule names for a vacuum-fixing bijection, read from the
+    plain attributes: the first changed dimension or twist in the map's own
+    order, then the first label in domain order whose antiparticle pair
+    breaks; None when the map keeps everything."""
+    dim, cdim = dict(zip(domain.labels, domain.dims)), dict(zip(codomain.labels, codomain.dims))
+    twists = domain.twist is not None and codomain.twist is not None
+    for a, b in perm.items():
+        if not abs(dim[a] - cdim[b]) <= tol:
+            return f"dimension of {a!r}"
+        if twists and domain.twist.get(a, 0) != codomain.twist.get(b, 0):
+            return f"twist of {a!r}"
+    if domain.dual is not None and codomain.dual is not None:
+        for a in domain.labels:
+            b = perm[a]
+            if perm[domain.dual.get(a, a)] != codomain.dual.get(b, b):
+                return f"antiparticle of {a!r}"
+    return None
+
+
+def _vacuum_fixing_maps(domain, codomain):
+    """Every vacuum-fixing label bijection, listed in label order and again
+    in reverse label order, so that "first in the map's order" differs."""
+    rest = [a for a in domain.labels if a != domain.vacuum]
+    cod_rest = [b for b in codomain.labels if b != codomain.vacuum]
+    for image in itertools.permutations(cod_rest):
+        perm = {domain.vacuum: codomain.vacuum, **dict(zip(rest, image))}
+        yield perm
+        yield dict(reversed(perm.items()))
+
+
+def _expect(what, fault, call, *args, **kwargs):
+    if fault is None:
+        call(*args, **kwargs)
+    else:
+        with pytest.raises(ValueError, match=f"^{what} does not preserve the {fault}$"):
+            call(*args, **kwargs)
+
+
+# Each catalog source, and Z_4 and Z_5 for more antiparticle pairs, with
+# the kinds of change that some map of it or of its variants makes.
+ALL_KINDS = {"dimension", "twist", "antiparticle"}
+DIFFERENTIAL_SOURCES = {
+    "z2": (zn_system(2), {"dimension", "twist"}),  # one map per pair of variants
+    "z3": (zn_system(3), ALL_KINDS),
+    "toric": (ac.entry("toric-1Y").branching.source, ALL_KINDS),
+    "repS3": (ac.entry("repS3-1Y").branching.source, ALL_KINDS),
+    "z4": (zn_system(4), ALL_KINDS),
+    "z5": (zn_system(5), ALL_KINDS),
+}
+
+
+def test_the_differential_sources_are_the_catalog_sources():
+    sources = [source for source, _ in DIFFERENTIAL_SOURCES.values()]
+    assert all(e.branching.source in sources for e in ac.catalog())
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_SOURCES)
+def test_the_check_refuses_exactly_what_the_oracle_does_not_admit(name):
+    source, kinds = DIFFERENTIAL_SOURCES[name]
+    variants = _variants(source)
+    one = ac.AnyonSystem(("v",), (1.0,), "v")
+    seen = set()
+    for domain in variants.values():
+        # The source side: apply_permutation and the sigma of verify_duality.
+        b = ac.BranchingData(domain, one, np.zeros((len(domain), 1), dtype=int))
+        rho = ac.SectorState(domain, np.full(len(domain), 1 / len(domain)))
+        admitted = admissible_maps(domain, domain)
+        for perm in _vacuum_fixing_maps(domain, domain):
+            fault = _first_fault(domain, domain, perm)
+            assert (fault is None) == (perm in admitted)
+            duality = ac.PermutationDuality(perm, {"v": "v"})
+            _expect("source_perm", fault, ac.apply_permutation, duality, rho)
+            _expect("source_perm", fault, ac.verify_duality, b, b, duality, trials=0)
+            seen.add(fault and fault.split()[0])
+        # The condensed side, between two variants of one system.
+        for codomain in variants.values():
+            bA = ac.BranchingData(one, domain, np.zeros((1, len(domain)), dtype=int))
+            bB = ac.BranchingData(one, codomain, np.zeros((1, len(codomain)), dtype=int))
+            admitted = admissible_maps(domain, codomain)
+            for perm in _vacuum_fixing_maps(domain, codomain):
+                fault = _first_fault(domain, codomain, perm)
+                assert (fault is None) == (perm in admitted)
+                duality = ac.PermutationDuality({"v": "v"}, perm)
+                _expect("condensed_perm", fault, ac.verify_duality, bA, bB, duality, trials=0)
+                seen.add(fault and fault.split()[0])
+    assert seen == kinds | {None}

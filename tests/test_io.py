@@ -443,7 +443,6 @@ TEXT_MUTANTS = st.sampled_from(
 WHOLE_INPUT = ("invalid JSON", "not UTF-8 text", "document is neither", "expected an object")
 COMMAND_REFUSALS = {
     "duality": ("duality inputs must be branching files",),
-    "enumerate": ("enumeration requires integer dims",),
 }
 
 

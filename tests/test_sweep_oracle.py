@@ -3,6 +3,7 @@
 import pytest
 from conftest import CATALOG_IDS
 from reference_sweep import simplex_grid, sweep_text
+from sweep_grid import sweep_grid
 
 import anycond as ac
 from anycond import cli
@@ -66,6 +67,6 @@ def test_simplex_grid_equals_the_recursive_generator(monkeypatch, size):
     monkeypatch.setattr(cli, "SWEEP_CHUNK", size)
     for parts in range(1, 7):
         for resolution in range(9):
-            assert list(cli._simplex_grid(parts, resolution)) == list(
+            assert list(sweep_grid(parts, resolution)) == list(
                 simplex_grid(parts, resolution)
             )

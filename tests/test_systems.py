@@ -1,11 +1,16 @@
 """Anyon system construction and validation."""
 
+import dataclasses
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import anycond as ac
-from anycond.catalog import rep_s3_system, toric_system, zn_system
+from anycond import io as cio
+from anycond.catalog import rep_s3_system, toric_system, zn_full, zn_system
 
 
 def test_toric_system_is_valid():
@@ -125,6 +130,7 @@ def test_total_dim_sq_at_least_one(dims):
     dims = [1.0] + dims[1:]
     labels = tuple(f"s{i}" for i in range(len(dims)))
     system = ac.AnyonSystem(labels, tuple(dims), "s0")
+    _check_table(system)
     total = ac.total_dim_sq(system)
     assert total >= 1.0 - 1e-12
     if len(dims) == 1:
@@ -164,3 +170,96 @@ def test_dim_too_large_for_a_float_is_a_value_error():
     # It used to escape as an OverflowError, unlike every other bad dim.
     with pytest.raises(ValueError, match="too large for a float"):
         ac.AnyonSystem(("1", "a"), (1, 10**400), "1")
+
+
+# --- the sector table --------------------------------------------------------
+
+TABLE = ("vacuum_index", "antiparticles", "twist_ratios", "twisted", "dim_array")
+
+
+def _check_table(system):
+    """Each table field against the plain attributes it is built from."""
+    labels = list(system.labels)
+    assert system.vacuum_index == labels.index(system.vacuum)
+    if system.dual is None:
+        assert system.antiparticles is None
+    else:
+        assert system.antiparticles == tuple(system.index(system.dual.get(a, a)) for a in labels)
+    twist = system.twist or {}
+    if system.twist is None:
+        assert system.twist_ratios is None
+    else:
+        want = tuple(Fraction(twist.get(a, 0)).as_integer_ratio() for a in labels)
+        assert system.twist_ratios == want
+    assert system.twisted.tolist() == [twist.get(a, 0) != 0 for a in labels]
+    assert system.twisted.dtype == bool
+    assert system.dim_array.tolist() == list(system.dims)
+    # Read-only: no field can be set or deleted, and the arrays refuse writes.
+    for name in TABLE:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(system, name, getattr(system, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(system, name)
+    for array in (system.twisted, system.dim_array):
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+    for column in (system.antiparticles, system.twist_ratios):
+        assert column is None or type(column) is tuple
+    # The table is no dataclass field: equality and repr see the fields alone.
+    fields = [f.name for f in dataclasses.fields(system)]
+    assert fields == ["labels", "dims", "vacuum", "dual", "twist"]
+    twin = ac.AnyonSystem(tuple(labels), system.dims, system.vacuum, system.dual, system.twist)
+    assert twin == system and repr(twin) == repr(system)
+    assert not any(name in repr(system) for name in TABLE)
+
+
+@pytest.mark.parametrize("entry_id", [e.id for e in ac.catalog()] + ["z7-full", "z12-trivial"])
+def test_the_sector_table_of_every_catalog_system(entry_id):
+    b = ac.entry(entry_id).branching
+    for system in (b.source, b.condensed):
+        _check_table(system)
+
+
+@pytest.mark.parametrize("entry_id,seed", [("toric-1Y", 1), ("repS3-1X", 3), ("z7-full", 5)])
+def test_the_sector_table_of_a_loaded_file(tmp_path, entry_id, seed):
+    # Files as the benchmark writes them: non-vacuum source sectors reordered.
+    for b in (ac.entry(entry_id).branching, zn_full(256)):
+        src = b.source
+        rest = [i for i in range(len(src)) if i != src.vacuum_index]
+        random.Random(seed).shuffle(rest)
+        order = [src.vacuum_index] + rest
+        source = ac.AnyonSystem(
+            tuple(src.labels[i] for i in order), tuple(src.dims[i] for i in order),
+            src.vacuum, src.dual, src.twist,
+        )
+        path = tmp_path / "b.json"
+        cio.save(ac.BranchingData(source, b.condensed, b.n[order]), path)
+        loaded = cio.load(path)
+        assert loaded.source == source
+        for system in (loaded.source, loaded.condensed):
+            _check_table(system)
+
+
+@st.composite
+def any_systems(draw):
+    """Systems whose optional data need not be valid: a partial dual map,
+    possibly not an involution, and a partial twist map of any rationals."""
+    size = draw(st.integers(1, 6))
+    labels = tuple(f"s{i}" for i in range(size))
+    dims = tuple(draw(st.lists(st.floats(0.5, 10.0), min_size=size, max_size=size)))
+    vacuum = draw(st.sampled_from(labels))
+    some = st.lists(st.sampled_from(labels), unique=True)
+    dual = draw(st.none() | some.flatmap(
+        lambda keys: st.fixed_dictionaries({k: st.sampled_from(labels) for k in keys})
+    ))
+    turns = st.fractions(-3, 3, max_denominator=12)
+    twist = draw(st.none() | some.flatmap(
+        lambda keys: st.fixed_dictionaries({k: turns for k in keys})
+    ))
+    return ac.AnyonSystem(labels, dims, vacuum, dual, twist)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_systems())
+def test_the_sector_table_of_any_system(system):
+    _check_table(system)
