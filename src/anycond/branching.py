@@ -44,11 +44,22 @@ def _as_int_matrix(raw, rows: int, cols: int) -> np.ndarray:
         raise ValueError("branching coefficients must be integers below 2**63")
     if kind == "f" and not np.array_equal(np.rint(n), n):
         raise ValueError("branching coefficients must be integers")
-    if np.any(n < 0):
+    if (n < 0).any():
         raise ValueError("branching coefficients must be non-negative")
-    n = n.astype(np.int64)
-    n.setflags(write=False)
+    if n.dtype != np.int64 or not _read_only(n):
+        n = n.astype(np.int64)
+        n.setflags(write=False)
     return n
+
+
+def _read_only(n: np.ndarray) -> bool:
+    """Whether neither ``n`` nor any array it views can be written to, so it
+    can be shared rather than copied (the search's results view one stack)."""
+    while isinstance(n, np.ndarray):
+        if n.flags.writeable:
+            return False
+        n = n.base
+    return n is None
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +67,8 @@ class BranchingData:
     """One condensation pattern: source system, condensed system, matrix n.
 
     Rows of ``n`` follow the source label order, columns the condensed label
-    order.  The matrix is coerced to a read-only int array; negative or
+    order.  The matrix is coerced to a read-only int64 array, copied unless
+    it already is one that nothing can write through; negative or
     fractional entries are rejected at construction.  All semantic checks
     (the dimension constraints, antiparticle symmetry, the boson condition)
     live in :func:`validate_branching`.
@@ -220,6 +232,12 @@ def validate_branching(b: BranchingData, tol: float = DEFAULT_TOL) -> Validation
     if report is None:
         report = reports[tol] = _validate_branching(b, tol)
     return report
+
+
+def has_ok_report(b: BranchingData) -> bool:
+    """Whether :func:`validate_branching` has kept an ok report on ``b``, at
+    any tolerance; ``b`` then compiles."""
+    return any(report.ok for report in b.__dict__.get("_reports", {}).values())
 
 
 def _validate_branching(b: BranchingData, tol: float) -> ValidationReport:

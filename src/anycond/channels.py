@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branching import BranchingData, dimension_violations, jones_index
+from .branching import BranchingData, dimension_violations, has_ok_report, jones_index
 from .systems import AnyonSystem
 
 
@@ -173,15 +173,16 @@ def condensation(b: BranchingData) -> Condensation:
     by more than ``1e-9``, since the channels would then not preserve
     probability.  This is the check of the tolerance rule stated in
     :func:`~anycond.branching.validate_branching`, kept here for callers
-    that skip validation.
+    that skip validation; an ok report kept on ``b`` stands in for it.
     """
     compiled = b.__dict__.get("_condensation")
     if compiled is not None:
         return compiled
     lam = jones_index(b)
-    bad = dimension_violations(b, lam)
-    if bad:
-        raise NotCondensableError(bad)
+    if not has_ok_report(b):
+        bad = dimension_violations(b, lam)
+        if bad:
+            raise NotCondensableError(bad)
     d_a, d_t = b.source_dims, b.condensed_dims
     arrays = (
         d_a,

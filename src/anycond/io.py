@@ -282,6 +282,13 @@ def dumps_indented(value, depth: int = 0) -> str:
     return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
 
 
+class _RowTexts(dict):
+    # The text of each distinct matrix row, made on its first lookup.
+    def __missing__(self, row: tuple[int, ...]) -> str:
+        text = self[row] = "[\n          " + ",\n          ".join(map(str, row)) + "\n        ]"
+        return text
+
+
 def _branchings_chunks(results: list[BranchingData]):
     # The text of json.dumps({"count", "branchings"}, indent=2), one result
     # at a time; the results share a few system objects, each encoded once.
@@ -294,12 +301,10 @@ def _branchings_chunks(results: list[BranchingData]):
         return systems[key]
 
     yield f'{{\n  "count": {len(results)},\n  "branchings": ['
+    row_text = _RowTexts().__getitem__
     separator = "\n"
     for b in results:
-        rows = ",\n        ".join(
-            "[\n          " + ",\n          ".join(map(str, row)) + "\n        ]"
-            for row in b.n.tolist()
-        )
+        rows = ",\n        ".join(map(row_text, map(tuple, b.n.tolist())))
         yield (
             f'{separator}    {{\n      "schema_version": {SCHEMA_VERSION},'
             f'\n      "source": {system_text(b.source)},'

@@ -11,8 +11,9 @@ bounds:
   vacuum column, which prunes the possible condensed dimension multisets;
 * each source row must satisfy d_a = sum_t n[a, t] * d_t, which bounds every
   entry by floor(d_a / d_t) and makes the per-row solution sets finite;
-* rows are then combined depth-first under the running column constraint
-  sum_a n[a, t] * d_a = lam * d_t.
+* rows are then filled one at a time under the running column constraint
+  sum_a n[a, t] * d_a = lam * d_t, every partial matrix of a row extended by
+  every option of the next row in one array step.
 
 Condensed labels are pure gauge, so the search is orderly (Read 1978,
 McKay 1998): it emits one matrix per relabelling orbit of the non-vacuum
@@ -20,17 +21,23 @@ condensed sectors, the one whose columns of equal dimension ascend
 lexicographically, and never generates the others.  The remaining rules of
 ``validate_branching`` hold by construction or depend on the source and the
 algebra alone, so they are checked once, before the search.  The output
-order is deterministic.
+order is deterministic: by sector count, then, across all dim multisets of
+that count, by the flattened key (d_1, column 1, d_2, column 2, ...).
 """
 
 from __future__ import annotations
 
+from itertools import compress, groupby
 from math import isqrt
 
 import numpy as np
 
 from .branching import BranchingData, CondensableAlgebra, boson_violations, validate_branching
 from .systems import DEFAULT_TOL, AnyonSystem, validate_system
+
+# Candidate cells (frontier entries x options x condensed columns) that one
+# step of the fill builds at a time; bounds its temporary arrays.
+FILL_CHUNK = 1 << 16
 
 
 def _dim_multisets(budget: int, max_len: int, max_dim: int) -> list[tuple[int, ...]]:
@@ -71,38 +78,48 @@ def _row_solutions(target: int, dims: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def _orderly_fill(
-    d: list[int], row_options: list[list[tuple[int, ...]]], targets: list[int], ties: list[int]
-) -> list[tuple[tuple[int, ...], ...]]:
+    d: list[int], options: list[np.ndarray], targets: np.ndarray, ties: list[int]
+) -> np.ndarray:
     """Every choice of one option per row whose weighted column sums meet
     ``targets``, with columns j and j + 1 in ascending lexicographic order
-    for each j in ``ties``.
+    for each j in ``ties``: an (R, rows) array of indices into each row's
+    ``(O, k)`` option array, in the order of a depth-first search.
 
-    A tied pair stays tied while the two columns agree on the rows placed so
-    far; a row that would put a tied pair in decreasing order is skipped.
+    The rows are filled one at a time over a frontier of partial choices.
+    Each frontier entry carries its column weights, which stay at most
+    ``targets``, and the tied pairs whose two columns agree on the rows
+    placed so far.  A row expands every entry by every option in one step,
+    in slices of about ``FILL_CHUNK`` cells, and keeps a pair unless it
+    overshoots a target or puts a tied pair in decreasing order.  Kept pairs
+    stay in row-major order, entry then option, which is depth-first order.
     """
-    out = []
-    last = len(row_options)
-
-    def fill(i: int, weights: list[int], ties: list[int], rows: tuple):
-        if i == last:
-            if weights == targets:
-                out.append(rows)
-            return
-        di = d[i]
-        for option in row_options[i]:
-            still = []
-            for j in ties:
-                if option[j] > option[j + 1]:
-                    break
-                if option[j] == option[j + 1]:
-                    still.append(j)
-            else:
-                nxt = [w + v * di for w, v in zip(weights, option)]
-                if all(w <= t for w, t in zip(nxt, targets)):
-                    fill(i + 1, nxt, still, rows + (option,))
-
-    fill(0, [0] * len(targets), ties, ())
-    return out
+    k = len(targets)
+    # Kept weights are at most the targets, and a row adds at most d_i**2.
+    weight_type = np.min_scalar_type(int(targets.max(initial=0)) + max(d) ** 2)
+    targets = targets.astype(weight_type)
+    low = np.array(ties, dtype=np.intp)
+    weights = np.zeros((1, k), dtype=weight_type)
+    tied = np.ones((1, len(ties)), dtype=bool)
+    chosen = np.zeros((1, len(options)), np.min_scalar_type(max(map(len, options)) - 1))
+    for i, opts in enumerate(options):
+        if not len(weights):
+            break
+        step = (opts * d[i]).astype(weight_type)
+        breaks, equal = opts[:, low] > opts[:, low + 1], opts[:, low] == opts[:, low + 1]
+        per = max(1, FILL_CHUNK // (len(opts) * max(k, 1)))
+        entries, picks = [], []
+        for start in range(0, len(weights), per):
+            w, t = weights[start : start + per, None], tied[start : start + per, None]
+            keep = (w + step <= targets).all(axis=2) & ~(t & breaks).any(axis=2)
+            entry, pick = np.nonzero(keep)
+            entries.append(entry + start)
+            picks.append(pick)
+        entry, pick = np.concatenate(entries), np.concatenate(picks)
+        weights = weights[entry] + step[pick]
+        tied = tied[entry] & equal[pick]
+        chosen = chosen[entry]
+        chosen[:, i] = pick
+    return chosen[(weights == targets).all(axis=1)]
 
 
 def _condensed_labels(count: int) -> tuple[str, ...]:
@@ -119,9 +136,9 @@ def enumerate_branchings(
     """All valid branchings whose vacuum column equals ``algebra``.
 
     Results are unique up to relabelling of the non-vacuum condensed
-    sectors and returned in a deterministic order (sector count, condensed
-    dims, then matrix entries).  Raises ``ValueError`` for non-integer
-    source dims or bounds below 1.
+    sectors and returned in a deterministic order: by sector count, then by
+    (d_1, column 1, d_2, column 2, ...) over the non-vacuum columns.  Raises
+    ``ValueError`` for non-integer source dims or bounds below 1.
     """
     if algebra.system != source:
         raise ValueError("condensable algebra is defined over a different system")
@@ -148,30 +165,49 @@ def enumerate_branchings(
     # only within tol accumulate float error that validation may reject.
     exact = all(x == di for x, di in zip(source.dims, d))
 
-    keyed = []
-    for rest_dims in _dim_multisets(rest_budget, max_sectors - 1, max_dim):
-        k = len(rest_dims)
-        # Row of the source vacuum is forced to the vacuum-column indicator.
-        row_options = [
-            [(0,) * k] if i == vac else _row_solutions(d[i] - coeff[i], rest_dims)
-            for i in range(len(source))
-        ]
-        if not all(row_options):
-            continue
-        ties = [j for j in range(k - 1) if rest_dims[j] == rest_dims[j + 1]]
-        found = _orderly_fill(d, row_options, [lam * dj for dj in rest_dims], ties)
-        condensed = AnyonSystem(
-            labels=_condensed_labels(k),
-            dims=(1.0,) + tuple(float(x) for x in rest_dims),
-            vacuum="phi",
-        )
-        for rows in found:
-            n = np.array([(c,) + row for c, row in zip(coeff, rows)], dtype=np.int64)
-            b = BranchingData(source, condensed, n)
-            if exact or validate_branching(b, tol).ok:
-                # The columns are already canonical, so this is the key the
-                # results sort by: sector count, then (dim, column) pairs.
-                keyed.append(((k + 1, tuple(zip(rest_dims, zip(*rows)))), b))
-
-    keyed.sort(key=lambda kb: kb[0])
-    return [b for _, b in keyed]
+    # Key cells: the condensed dims and every matrix entry fit in it.
+    key_type = np.min_scalar_type(max(d + [rest_budget]))
+    results = []
+    for k, multisets in groupby(_dim_multisets(rest_budget, max_sectors - 1, max_dim), len):
+        found, keys = [], []
+        for rest_dims in multisets:
+            # Row of the source vacuum is forced to the vacuum-column indicator.
+            options = [
+                [(0,) * k] if i == vac else _row_solutions(d[i] - coeff[i], rest_dims)
+                for i in range(len(source))
+            ]
+            if not all(options):
+                continue
+            options = [np.array(rows, dtype=np.int64) for rows in options]
+            ties = [j for j in range(k - 1) if rest_dims[j] == rest_dims[j + 1]]
+            chosen = _orderly_fill(d, options, np.array(rest_dims) * lam, ties)
+            if not len(chosen):
+                continue
+            # The matrices of one multiset share one read-only stack; each
+            # result's n is a view of it.
+            stack = np.empty((len(chosen), len(d), k + 1), dtype=np.int64)
+            stack[:, :, 0] = coeff
+            for i, opts in enumerate(options):
+                stack[:, i, 1:] = opts[chosen[:, i]]
+            stack.setflags(write=False)
+            # Per result, (d_1, column 1, d_2, column 2, ...): the columns are
+            # already canonical, so this is the (dim, column) key results sort by.
+            key = np.empty((len(chosen), k, 1 + len(d)), dtype=key_type)
+            key[:, :, 0] = rest_dims
+            key[:, :, 1:] = stack[:, :, 1:].transpose(0, 2, 1)
+            condensed = AnyonSystem(
+                labels=_condensed_labels(k),
+                dims=(1.0,) + tuple(float(x) for x in rest_dims),
+                vacuum="phi",
+            )
+            built = [BranchingData(source, condensed, n) for n in stack]
+            valid = [exact or validate_branching(b, tol).ok for b in built]
+            found += compress(built, valid)
+            keys.append(key.reshape(len(chosen), -1)[valid])
+        # Within one sector count, one sort by that key; a full condensation
+        # (k = 0) has no key cells and at most one result.
+        if len(found) > 1:
+            order = np.lexsort(np.concatenate(keys).T[::-1])
+            found = [found[i] for i in order.tolist()]
+        results += found
+    return results

@@ -152,6 +152,30 @@ def test_branching_constructor_rejects_bad_matrices():
         ac.BranchingData(source, condensed, [[1, 0], [1, 0], [0, 1], [0, 1.5]])
 
 
+def _writable_bases(n):
+    while isinstance(n, np.ndarray):
+        yield n.flags.writeable
+        n = n.base
+
+
+def test_branching_copies_a_matrix_it_could_be_written_through():
+    source, condensed = toric_system(), _vec_z2_plain()
+    rows = [[1, 0], [1, 0], [0, 1], [0, 1]]
+    writable, base, frozen = (np.array(rows, dtype=np.int64) for _ in range(3))
+    view = base[:]
+    view.setflags(write=False)
+    frozen.setflags(write=False)
+    given = (writable, view, frozen.astype(np.int32))
+    kept = [ac.BranchingData(source, condensed, m).n for m in given]
+    writable[0, 0] = base[0, 0] = 7
+    for n in kept:
+        assert n.dtype == np.int64 and not any(_writable_bases(n))
+        assert n.tolist() == rows
+    # Only an int64 matrix that no array under it lets anyone write is kept.
+    assert ac.BranchingData(source, condensed, frozen).n is frozen
+    assert ac.BranchingData(source, condensed, frozen[::-1]).n.base is frozen
+
+
 def test_condensable_algebra_invariants():
     source = toric_system()
     with pytest.raises(ValueError):

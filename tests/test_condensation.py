@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import anycond as ac
-from anycond.channels import condensation
+from anycond import channels
+from anycond.channels import NotCondensableError, condensation
 from anycond.entropy import order_parameter_rows
 
 from exact_reference import ExactCondensation
@@ -72,6 +73,25 @@ def test_compiled_once_and_read_only(toric_1y):
     assert condensation(toric_1y) is compiled
     for array in (compiled.restriction, compiled.lifting, compiled.n):
         assert not array.flags.writeable
+
+
+def test_compiling_reads_an_ok_report_kept_on_the_branching(toric_1y, monkeypatch):
+    checked = []
+    check = channels.dimension_violations
+    monkeypatch.setattr(
+        channels, "dimension_violations", lambda b, lam: checked.append(b) or check(b, lam)
+    )
+    validated, unvalidated, broken = (
+        ac.BranchingData(toric_1y.source, toric_1y.condensed, n)
+        for n in (toric_1y.n, toric_1y.n, [[1, 0], [0, 1], [0, 1], [0, 1]])
+    )
+    assert ac.validate_branching(validated, 1e-6).ok
+    assert not ac.validate_branching(broken).ok
+    condensation(validated)
+    condensation(unvalidated)
+    with pytest.raises(NotCondensableError, match="dim-lift"):
+        condensation(broken)
+    assert checked == [unvalidated, broken]
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ the labelled search it replaced."""
 
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, groupby, product
 from math import isqrt
 
 import numpy as np
@@ -270,6 +270,60 @@ def test_mixed_bench_shape_matches_the_labelled_search(order_seed, condensed, ma
     source = ac.AnyonSystem(tuple(labels), tuple(float(MIXED_DIMS[x]) for x in labels), "11")
     algebra = ac.CondensableAlgebra(source, tuple(int(x in condensed) for x in labels))
     _assert_same_as_labelled(source, algebra, max_sectors, 2)
+
+
+@pytest.mark.parametrize(
+    "dims, max_sectors, sectors, runs",
+    [
+        # Both 7-sector multisets, one result each.
+        ((1, 1, 1, 1, 2, 2, 4, 4), 8, 7, [((1,) * 5 + (4,), 1), ((1,) + (2,) * 5, 1)]),
+        # The 9-sector results of two multisets interleave in the sort order.
+        (
+            (1, 1, 4, 4, 2, 2, 2, 2, 2),
+            9,
+            9,
+            [((1,) * 6 + (2, 4), 6), ((1, 1) + (2,) * 6, 3), ((1,) * 6 + (2, 4), 3),
+             ((1, 1) + (2,) * 6, 3), ((1,) * 6 + (2, 4), 1), ((1, 1) + (2,) * 6, 9)],
+        ),
+    ],
+)
+def test_equal_length_multisets_sort_as_the_labelled_search(dims, max_sectors, sectors, runs):
+    # The results of one sector count are sorted together by (dim, column)
+    # pairs, not multiset by multiset.
+    labels = tuple(f"s{i}" for i in range(len(dims)))
+    source = ac.AnyonSystem(labels, tuple(map(float, dims)), "s0")
+    algebra = ac.CondensableAlgebra(source, (1, 1) + (0,) * (len(dims) - 2))
+    got = _assert_same_as_labelled(source, algebra, max_sectors, 4)
+    rest = [tuple(int(x) for x in b.condensed.dims[1:]) for b in got if len(b.condensed) == sectors]
+    assert [(dims, len(list(run))) for dims, run in groupby(rest)] == runs
+
+
+@pytest.mark.parametrize(
+    "n, picked, max_sectors, count",
+    [
+        (4, {0, 1, 2, 3}, 4, 1),  # full condensation: no condensed sector but the vacuum
+        (4, {0, 3}, 2, 1),  # one dim-1 column: every row has a single option
+        (12, {0, 11}, 3, 0),  # dims (1, 2): the frontier empties at the third free row
+    ],
+)
+def test_fill_edge_cases_match_the_labelled_search(n, picked, max_sectors, count):
+    source, algebra = _plain(n, picked)
+    got = _assert_same_as_labelled(source, algebra, max_sectors, 2)
+    assert len(got) == count
+
+
+def test_fill_stops_when_the_frontier_empties():
+    # Row 2 overshoots the one target, so row 3 is never expanded.
+    options = [np.array(rows, dtype=np.int64) for rows in ([(0,)], [(1,)], [(1,)], [(1,)])]
+    assert search._orderly_fill([1] * 4, options, np.array([1]), []).shape == (0, 4)
+
+
+def test_results_share_one_read_only_matrix_stack():
+    source, algebra = _plain(10, {0, 7})
+    got = ac.enumerate_branchings(source, algebra, 5, 2)
+    stacks = {id(b.n.base) for b in got}
+    assert len(stacks) == 1 and not got[0].n.base.flags.writeable
+    assert got[0].n.base.shape == (105, 10, 5)
 
 
 @st.composite

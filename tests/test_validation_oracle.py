@@ -70,14 +70,13 @@ def test_the_kept_report_of_a_shared_entry_is_the_reference_report(entry_id, tol
 
 
 def test_a_shared_entry_validates_and_compiles_once_per_tolerance(monkeypatch, capsys):
-    # ``channels.dimension_violations`` runs only when a branching compiles.
     validated, compiled = [], []
-    validate, check = branching._validate_branching, channels.dimension_violations
+    validate, compile_ = branching._validate_branching, channels.Condensation
     monkeypatch.setattr(
         branching, "_validate_branching", lambda b, tol: validated.append(tol) or validate(b, tol)
     )
     monkeypatch.setattr(
-        channels, "dimension_violations", lambda b, lam: compiled.append(b) or check(b, lam)
+        channels, "Condensation", lambda *arrays: compiled.append(compile_(*arrays)) or compiled[-1]
     )
     catalog_module._shared_entry.cache_clear()
     for tolerance in ("1e-9", "1e-9", "1e-6", "1e-6"):
@@ -85,7 +84,7 @@ def test_a_shared_entry_validates_and_compiles_once_per_tolerance(monkeypatch, c
                         ["validate", "--catalog", "toric-1Y"]):
             assert cli.main(["--tolerance", tolerance] + command) == 0
     assert validated == [1e-9, 1e-6]
-    assert compiled == [ac.entry("toric-1Y").branching]
+    assert compiled == [condensation(ac.entry("toric-1Y").branching)]
     capsys.readouterr()
 
 
@@ -219,7 +218,8 @@ def test_validation_accepts_only_what_compiles(case, tol):
     report = ac.validate_branching(b, tol)
     dims = tuple(v for v in report.violations if v.rule in ("dim-restriction", "dim-lift"))
     try:
-        condensation(b)
+        # A copy without the kept report, which compiling would trust.
+        condensation(ac.BranchingData(b.source, b.condensed, b.n))
     except NotCondensableError as exc:
         assert exc.violations == dims
         assert not report.ok
