@@ -3,7 +3,7 @@
 Subcommands: validate, condense, entropy, sweep, enumerate, duality,
 catalog.  Outputs are JSON (reports) or CSV (sweeps), written to stdout or
 to --output; sweeps stream their rows as they are computed, and enumerate
-writes its results one at a time as they are encoded.  Exit codes:
+writes its results in slices as they are encoded.  Exit codes:
 0 success, 1 domain failure (validation or bound violation), 2 usage or
 I/O trouble, including a reader that closed the output pipe early.
 """
@@ -32,7 +32,7 @@ from .channels import (
 )
 from .duality import find_dualities, verify_dualities
 from .entropy import order_parameter, order_parameter_rows
-from .search import enumerate_branchings
+from .search import branching_blocks
 from .systems import AnyonSystem, validate_system
 
 GRID_POINT_CAP = 10**7
@@ -278,15 +278,13 @@ def cmd_enumerate(args) -> int:
     weights = cio.counts_from_text(args.algebra, "--algebra")
     try:
         algebra = CondensableAlgebra(source, tuple(weights))
-        results = enumerate_branchings(
-            source, algebra, args.max_sectors, args.max_dim, args.tolerance
-        )
+        blocks = branching_blocks(source, algebra, args.max_sectors, args.max_dim, args.tolerance)
     except ValueError as exc:
         if "integer dims" in str(exc) and not args.catalog:  # the source file's dims
             raise cio.SchemaError("dims" if source is doc else "source.dims", str(exc)) from None
         raise UsageError(str(exc)) from None
     with _output(args) as out:
-        cio.dump_branchings(results, out)
+        cio.dump_blocks(blocks, out)
         out.write("\n")
     return 0
 

@@ -21,7 +21,7 @@ import math
 import operator
 import sys
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from pathlib import Path
 from reprlib import repr as _show
 from typing import Union
@@ -30,6 +30,7 @@ import numpy as np
 
 from .branching import BranchingData
 from .channels import SectorState
+from .search import FILL_CHUNK, Block
 from .systems import AnyonSystem
 
 SCHEMA_VERSION = 1
@@ -282,48 +283,78 @@ def dumps_indented(value, depth: int = 0) -> str:
     return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
 
 
-class _RowTexts(dict):
-    # The text of each distinct matrix row, made on its first lookup.
-    def __missing__(self, row: tuple[int, ...]) -> str:
-        text = self[row] = "[\n          " + ",\n          ".join(map(str, row)) + "\n        ]"
-        return text
+def _row_text(row: list[int]) -> str:
+    return "[\n          " + ",\n          ".join(map(str, row)) + "\n        ]"
 
 
-def _branchings_chunks(results: list[BranchingData]):
-    # The text of json.dumps({"count", "branchings"}, indent=2), one result
-    # at a time; the results share a few system objects, each encoded once.
+def _list_blocks(results: list[BranchingData]):
+    # Runs of results that share a source object and a shape, each as one
+    # block over the distinct rows of its matrices.
+    for _, run in groupby(results, key=lambda b: (id(b.source), b.n.shape)):
+        run = list(run)
+        stack = np.stack([b.n for b in run])
+        rows, chosen = np.unique(stack.reshape(-1, stack.shape[2]), axis=0, return_inverse=True)
+        condensed = {id(b.condensed): b.condensed for b in run}
+        position = {key: m for m, key in enumerate(condensed)}
+        which = np.array([position[id(b.condensed)] for b in run])
+        chosen = chosen.reshape(stack.shape[:2])
+        yield Block(run[0].source, tuple(condensed.values()), which, rows, chosen)
+
+
+def _branchings_chunks(count: int, blocks):
+    # The text of json.dumps({"count", "branchings"}, indent=2) of the
+    # results of ``blocks``: the text of each row of a block's table and of
+    # each system is made once, and each slice of a block is gathered from
+    # them and joined.
     systems: dict[int, str] = {}
 
     def system_text(system: AnyonSystem) -> str:
-        key = id(system)  # results keeps every system alive
+        key = id(system)  # the blocks keep every system alive
         if key not in systems:
             systems[key] = dumps_indented(system_to_dict(system), depth=3)
         return systems[key]
 
-    yield f'{{\n  "count": {len(results)},\n  "branchings": ['
-    row_text = _RowTexts().__getitem__
-    separator = "\n"
-    for b in results:
-        rows = ",\n        ".join(map(row_text, map(tuple, b.n.tolist())))
-        yield (
-            f'{separator}    {{\n      "schema_version": {SCHEMA_VERSION},'
-            f'\n      "source": {system_text(b.source)},'
-            f'\n      "condensed": {system_text(b.condensed)},'
-            f'\n      "n": [\n        {rows}\n      ]\n    }}'
-        )
-        separator = ",\n"
-    yield "\n  ]\n}" if results else "]\n}"
+    yield f'{{\n  "count": {count},\n  "branchings": ['
+    first = True
+    for block in blocks:
+        texts = np.array(list(map(_row_text, block.rows.tolist())), dtype=object)
+        head = (f',\n    {{\n      "schema_version": {SCHEMA_VERSION},'
+                f'\n      "source": {system_text(block.source)},\n      "condensed": ')
+        heads = np.array([f'{head}{system_text(c)},\n      "n": [\n        '
+                          for c in block.condensed], dtype=object)
+        # Results per slice: about FILL_CHUNK characters of text.  One string
+        # per block was slower and raised peak memory by its size.
+        width = block.chosen.shape[1]
+        per = max(1, FILL_CHUNK // (len(heads[0]) + width * (len(texts[0]) + 9)))
+        cells = np.empty((min(per, len(block.chosen)), 2 * width + 1), dtype=object)
+        cells[:, 2::2] = ",\n        "
+        cells[:, -1] = "\n      ]\n    }"
+        for start in range(0, len(block.chosen), per):
+            which, chosen = block.which[start : start + per], block.chosen[start : start + per]
+            part = cells[: len(which)]
+            part[:, 0] = heads[which]
+            part[:, 1::2] = texts[chosen]
+            if first:
+                part[0, 0], first = part[0, 0][1:], False
+            yield "".join(part.ravel().tolist())
+    yield "\n  ]\n}" if count else "]\n}"
 
 
 def dumps_branchings(results: list[BranchingData]) -> str:
     """``json.dumps({"count": ..., "branchings": [...]}, indent=2)`` of the
     results, byte for byte, without building their dicts."""
-    return "".join(_branchings_chunks(results))
+    return "".join(_branchings_chunks(len(results), _list_blocks(results)))
 
 
 def dump_branchings(results: list[BranchingData], fh):
     """Write :func:`dumps_branchings` to ``fh`` as it is produced."""
-    fh.writelines(_branchings_chunks(results))
+    fh.writelines(_branchings_chunks(len(results), _list_blocks(results)))
+
+
+def dump_blocks(blocks: list[Block], fh):
+    """Write the text of :func:`dumps_branchings` of the results of the
+    search's ``blocks`` to ``fh``, without a ``BranchingData`` per result."""
+    fh.writelines(_branchings_chunks(sum(len(b.which) for b in blocks), blocks))
 
 
 def branching_from_dict(data, path: str = "") -> BranchingData:

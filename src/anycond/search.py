@@ -22,13 +22,17 @@ lexicographically, and never generates the others.  The remaining rules of
 ``validate_branching`` hold by construction or depend on the source and the
 algebra alone, so they are checked once, before the search.  The output
 order is deterministic: by sector count, then, across all dim multisets of
-that count, by the flattened key (d_1, column 1, d_2, column 2, ...).
+that count, by the flattened key (d_1, column 1, d_2, column 2, ...).  The
+results of each sector count are kept as one sorted :class:`Block`, from
+which :func:`enumerate_branchings` builds its branchings and the ``io``
+writer its text.
 """
 
 from __future__ import annotations
 
-from itertools import compress, groupby
+from itertools import groupby, repeat
 from math import isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +40,8 @@ from .branching import BranchingData, CondensableAlgebra, boson_violations, vali
 from .systems import DEFAULT_TOL, AnyonSystem, validate_system
 
 # Candidate cells (frontier entries x options x condensed columns) that one
-# step of the fill builds at a time; bounds its temporary arrays.
+# step of the fill builds at a time, and characters of text that the
+# branchings writer joins at a time; bounds their temporary arrays.
 FILL_CHUNK = 1 << 16
 
 
@@ -126,6 +131,21 @@ def _condensed_labels(count: int) -> tuple[str, ...]:
     return ("phi",) + tuple(f"t{i}" for i in range(1, count + 1))
 
 
+class Block(NamedTuple):
+    """The results of one sector count, in output order.
+
+    Result r maps ``source`` to ``condensed[which[r]]``, and its matrix n
+    is ``rows[chosen[r]]``: ``rows`` is an ``(O, 1 + k)`` int64 array of the
+    rows of n that the results take, each option of a dim multiset once.
+    """
+
+    source: AnyonSystem
+    condensed: tuple[AnyonSystem, ...]
+    which: np.ndarray
+    rows: np.ndarray
+    chosen: np.ndarray
+
+
 def enumerate_branchings(
     source: AnyonSystem,
     algebra: CondensableAlgebra,
@@ -138,8 +158,28 @@ def enumerate_branchings(
     Results are unique up to relabelling of the non-vacuum condensed
     sectors and returned in a deterministic order: by sector count, then by
     (d_1, column 1, d_2, column 2, ...) over the non-vacuum columns.  Raises
-    ``ValueError`` for non-integer source dims or bounds below 1.
+    ``ValueError`` for non-integer source dims or bounds below 1.  The
+    results of one sector count view one read-only matrix stack.
     """
+    results = []
+    for block in branching_blocks(source, algebra, max_sectors, max_dim, tol):
+        stack = block.rows[block.chosen]
+        stack.setflags(write=False)
+        condensed = [block.condensed[m] for m in block.which.tolist()]
+        results += map(BranchingData, repeat(source), condensed, stack)
+    return results
+
+
+def branching_blocks(
+    source: AnyonSystem,
+    algebra: CondensableAlgebra,
+    max_sectors: int,
+    max_dim: int,
+    tol: float = DEFAULT_TOL,
+) -> list[Block]:
+    """The results of :func:`enumerate_branchings`, in its order, as one
+    :class:`Block` per sector count; no ``BranchingData`` is built but to
+    validate results over dims that are integers only within ``tol``."""
     if algebra.system != source:
         raise ValueError("condensable algebra is defined over a different system")
     if max_sectors < 1 or max_dim < 1:
@@ -167,47 +207,54 @@ def enumerate_branchings(
 
     # Key cells: the condensed dims and every matrix entry fit in it.
     key_type = np.min_scalar_type(max(d + [rest_budget]))
-    results = []
+    blocks = []
     for k, multisets in groupby(_dim_multisets(rest_budget, max_sectors - 1, max_dim), len):
-        found, keys = [], []
+        condensed, tables, chosen, keys = [], [], [], []
         for rest_dims in multisets:
-            # Row of the source vacuum is forced to the vacuum-column indicator.
-            options = [
-                [(0,) * k] if i == vac else _row_solutions(d[i] - coeff[i], rest_dims)
-                for i in range(len(source))
-            ]
-            if not all(options):
+            # Rows with the same coefficient and dim share one option array;
+            # the row of the source vacuum is forced to the vacuum-column indicator.
+            kinds = [(c, None if i == vac else d[i] - c) for i, c in enumerate(coeff)]
+            distinct = list(dict.fromkeys(kinds))
+            options = []
+            for c, target in distinct:
+                rows = [(0,) * k] if target is None else _row_solutions(target, rest_dims)
+                options.append(np.array([(c, *row) for row in rows], np.int64).reshape(-1, k + 1))
+            if not all(map(len, options)):
                 continue
-            options = [np.array(rows, dtype=np.int64) for rows in options]
+            slot = [distinct.index(kind) for kind in kinds]
             ties = [j for j in range(k - 1) if rest_dims[j] == rest_dims[j + 1]]
-            chosen = _orderly_fill(d, options, np.array(rest_dims) * lam, ties)
-            if not len(chosen):
-                continue
-            # The matrices of one multiset share one read-only stack; each
-            # result's n is a view of it.
-            stack = np.empty((len(chosen), len(d), k + 1), dtype=np.int64)
-            stack[:, :, 0] = coeff
-            for i, opts in enumerate(options):
-                stack[:, i, 1:] = opts[chosen[:, i]]
-            stack.setflags(write=False)
-            # Per result, (d_1, column 1, d_2, column 2, ...): the columns are
-            # already canonical, so this is the (dim, column) key results sort by.
-            key = np.empty((len(chosen), k, 1 + len(d)), dtype=key_type)
-            key[:, :, 0] = rest_dims
-            key[:, :, 1:] = stack[:, :, 1:].transpose(0, 2, 1)
-            condensed = AnyonSystem(
+            targets = np.array(rest_dims) * lam
+            picks = _orderly_fill(d, [options[j][:, 1:] for j in slot], targets, ties)
+            # Each pick as a row of the multiset's table of options.
+            table = np.concatenate(options)
+            picks = picks + np.cumsum([0] + list(map(len, options)))[slot]
+            system = AnyonSystem(
                 labels=_condensed_labels(k),
                 dims=(1.0,) + tuple(float(x) for x in rest_dims),
                 vacuum="phi",
             )
-            built = [BranchingData(source, condensed, n) for n in stack]
-            valid = [exact or validate_branching(b, tol).ok for b in built]
-            found += compress(built, valid)
-            keys.append(key.reshape(len(chosen), -1)[valid])
+            if not exact and len(picks):
+                built = map(BranchingData, repeat(source), repeat(system), table[picks])
+                picks = picks[[validate_branching(b, tol).ok for b in built]]
+            if not len(picks):
+                continue
+            # Per result, (d_1, column 1, d_2, column 2, ...): the columns are
+            # already canonical, so this is the (dim, column) key results sort by.
+            key = np.empty((len(picks), k, 1 + len(d)), dtype=key_type)
+            key[:, :, 0] = rest_dims
+            key[:, :, 1:] = table[:, 1:].astype(key_type)[picks].transpose(0, 2, 1)
+            condensed.append(system)
+            chosen.append(picks + sum(map(len, tables)))
+            tables.append(table)
+            keys.append(key.reshape(len(picks), -1))
+        if not chosen:
+            continue
+        which = np.repeat(np.arange(len(chosen)), list(map(len, chosen)))
+        chosen = np.concatenate(chosen)
         # Within one sector count, one sort by that key; a full condensation
         # (k = 0) has no key cells and at most one result.
-        if len(found) > 1:
+        if len(chosen) > 1:
             order = np.lexsort(np.concatenate(keys).T[::-1])
-            found = [found[i] for i in order.tolist()]
-        results += found
-    return results
+            which, chosen = which[order], chosen[order]
+        blocks.append(Block(source, tuple(condensed), which, np.concatenate(tables), chosen))
+    return blocks

@@ -7,11 +7,13 @@ import os
 import re
 import tempfile
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import run_clean
+from test_search import _near_integer_source, integral_sources
 from hypothesis import example, given, settings, strategies as st
 
 import anycond as ac
@@ -287,6 +289,7 @@ def test_dumps_branchings_of_nothing():
 
 
 AWKWARD = '"\\\n\té∞😀a'
+AWKWARD_LABELS = ("1", '"', "\\", "a\nb", "\t", "é😀")
 
 
 @st.composite
@@ -314,7 +317,7 @@ def awkward_sources(draw):
 
 
 def test_dumps_branchings_escapes_awkward_labels():
-    labels = ("1", '"', "\\", "a\nb", "\t", "é😀")
+    labels = AWKWARD_LABELS
     source = ac.AnyonSystem(labels, (1.0,) * 6, "1", {a: a for a in labels}, None)
     algebra = ac.CondensableAlgebra(source, (1, 1, 0, 0, 0, 0))
     results = ac.enumerate_branchings(source, algebra, 3, 2)
@@ -349,6 +352,69 @@ def test_enumerate_cli_prints_json_dumps_text(capsys, tmp_path, argv):
     path = tmp_path / "out.json"
     assert main(["--output", str(path), "enumerate", *argv]) == 0
     assert path.read_text(encoding="utf-8") == want
+
+
+def _assert_cli_enumerate_text(source, coefficients, max_sectors, max_dim, directory):
+    # enumerate --source, to stdout and to --output, prints json.dumps of
+    # the library's results byte for byte; returns that text.
+    algebra = ac.CondensableAlgebra(source, tuple(coefficients))
+    want = _reference_text(ac.enumerate_branchings(source, algebra, max_sectors, max_dim)) + "\n"
+    path, out = Path(directory) / "source.json", Path(directory) / "out.json"
+    cio.save(source, path)
+    argv = ["enumerate", "--source", str(path), "--algebra", ",".join(map(str, coefficients)),
+            "--max-sectors", str(max_sectors), "--max-dim", str(max_dim)]
+    assert run_clean(*argv) == (0, want, "")
+    assert run_clean("--output", str(out), *argv) == (0, "", "")
+    assert out.read_text(encoding="utf-8") == want
+    return want
+
+
+@pytest.mark.parametrize(
+    "source, coefficients, max_sectors, count",
+    [
+        (_plain(4, {0})[0], (1, 1, 1, 1), 4, 1),  # full condensation: no sector but the vacuum
+        (_plain(12, {0})[0], (1,) + (0,) * 10 + (1,), 3, 0),  # nothing found
+        (_near_integer_source(1e-10), (1, 1, 0, 0, 0), 4, 3),  # each result validated, all kept
+        (_near_integer_source(6e-10), (1, 1, 0, 0, 0), 4, 0),  # each result validated, none kept
+        (
+            ac.AnyonSystem(AWKWARD_LABELS, (1.0,) * 6, "1", {a: a for a in AWKWARD_LABELS}),
+            (1, 1, 0, 0, 0, 0),
+            3,
+            3,
+        ),
+    ],
+    ids=["full", "empty", "near-integer-kept", "near-integer-refused", "awkward"],
+)
+def test_enumerate_cli_prints_json_dumps_branchings(tmp_path, source, coefficients, max_sectors, count):
+    text = _assert_cli_enumerate_text(source, coefficients, max_sectors, 2, tmp_path)
+    assert json.loads(text)["count"] == count
+
+
+def test_enumerate_cli_prints_interleaved_branchings_with_their_own_condensed_system(tmp_path):
+    # The 9-sector results of two dim multisets alternate six times in the
+    # sort order, so consecutive results name different condensed systems.
+    dims = (1.0, 1.0, 4.0, 4.0) + (2.0,) * 5
+    source = ac.AnyonSystem(tuple(f"s{i}" for i in range(9)), dims, "s0")
+    text = _assert_cli_enumerate_text(source, (1, 1) + (0,) * 7, 9, 4, tmp_path)
+    condensed = [doc["condensed"]["dims"] for doc in json.loads(text)["branchings"]]
+    runs = [len(list(run)) for _, run in groupby(dims for dims in condensed if len(dims) == 9)]
+    assert runs == [6, 3, 3, 3, 1, 9]
+
+
+@given(case=integral_sources(), max_sectors=st.integers(1, 5), max_dim=st.integers(1, 2))
+@settings(max_examples=60, deadline=None)
+def test_enumerate_cli_prints_json_dumps_branchings_on_integral_sources(case, max_sectors, max_dim):
+    source, algebra = case
+    with tempfile.TemporaryDirectory() as directory:
+        _assert_cli_enumerate_text(source, algebra.coefficients, max_sectors, max_dim, directory)
+
+
+@given(case=awkward_sources(), max_sectors=st.integers(3, 6))
+@settings(max_examples=30, deadline=None)
+def test_enumerate_cli_prints_json_dumps_branchings_on_awkward_labels(case, max_sectors):
+    source, algebra = case
+    with tempfile.TemporaryDirectory() as directory:
+        _assert_cli_enumerate_text(source, algebra.coefficients, max_sectors, 2, directory)
 
 
 @pytest.mark.parametrize("value", [True, False, float("inf"), float("-inf"), float("nan")])

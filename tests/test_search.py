@@ -1,6 +1,8 @@
 """Enumeration of branchings, checked against the brute-force oracle and
 the labelled search it replaced."""
 
+import json
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
@@ -15,6 +17,7 @@ from anycond import io as cio
 from anycond import search
 from anycond.catalog import rep_s3_system, toric_system
 
+from conftest import run_clean
 from bruteforce_enumerator import brute_force_branchings, canonical_key
 from labelled_enumerator import _dim_multisets as labelled_dim_multisets, labelled_branchings
 
@@ -429,3 +432,30 @@ def test_orderly_search_builds_one_branching_per_result_and_validates_none(monke
     # The labelled search built and validated 8!/2^4 = 2,520 candidates here.
     assert len(got) == 105
     assert calls == {"validate": 0, "build": 105}
+
+
+def test_cli_enumerate_builds_no_branching_and_validates_none(monkeypatch, tmp_path):
+    calls = {"validate": 0, "build": 0}
+    validate, init = ac.validate_branching, ac.BranchingData.__init__
+
+    def counted_validate(*args, **kwargs):
+        calls["validate"] += 1
+        return validate(*args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        calls["build"] += 1
+        init(self, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "anycond" and getattr(module, "validate_branching", None) is validate:
+            monkeypatch.setattr(module, "validate_branching", counted_validate)
+    monkeypatch.setattr(ac.BranchingData, "__init__", counted_init)
+    source, algebra = _plain(10, {0, 7})
+    path = tmp_path / "source.json"
+    cio.save(source, path)
+    algebra_text = ",".join(map(str, algebra.coefficients))
+    code, out, _ = run_clean(
+        "enumerate", "--source", str(path), "--algebra", algebra_text, "--max-sectors", "5"
+    )
+    assert code == 0 and json.loads(out)["count"] == 105
+    assert calls == {"validate": 0, "build": 0}
