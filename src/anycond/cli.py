@@ -32,7 +32,7 @@ from .channels import (
 )
 from .duality import find_dualities, verify_dualities
 from .entropy import order_parameter, order_parameter_rows
-from .search import branching_blocks
+from .search import NonIntegerDimsError, branching_blocks
 from .systems import AnyonSystem, validate_system
 
 GRID_POINT_CAP = 10**7
@@ -202,24 +202,23 @@ def _grid_batches(parts: int, resolution: int, size: int):
         yield batch
 
 
-def _batch_counts(batch, parts: int) -> tuple[np.ndarray, np.ndarray]:
-    # The points of a batch as the rows of an int array, and the number of
-    # points in each segment.
+def _batch_counts(batch, parts: int) -> np.ndarray:
+    # The points of a batch as the rows of an int array.
     prefixes, m, lo, hi = (np.array(column, dtype=int) for column in zip(*batch))
     sizes = hi - lo
     j = np.arange(sizes.sum()) + np.repeat(lo + sizes - np.cumsum(sizes), sizes)
     m = np.repeat(m, sizes)
     counts = np.column_stack([np.repeat(prefixes, sizes, axis=0), m - j, j])
-    return counts[:, :parts], sizes
+    return counts[:, :parts]
 
 
-def _reprs(x: np.ndarray) -> list[str]:
+def _reprs(x: np.ndarray) -> np.ndarray:
     # repr of each float, made once per distinct value: S takes few values
     # on symmetric grids and the residual is mostly 0.0.  Values are told
     # apart by their bits, so 0.0 and -0.0 keep their own text.
     keys, inverse = np.unique(x.view(np.int64), return_inverse=True)
     texts = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
-    return texts[inverse].tolist()
+    return texts[inverse]
 
 
 def cmd_sweep(args) -> int:
@@ -234,34 +233,33 @@ def cmd_sweep(args) -> int:
             f"grid of {points} points exceeds the cap of {GRID_POINT_CAP}; lower --grid-resolution"
         )
     header = ",".join([f"p_{label}" for label in b.source.labels] + ["S", "bound", "residual"])
-    # Rows are joined from strings made once per command: a probability cell
-    # is one of the r + 1 strings repr(k / r) + ",", and the bound cell
-    # "," + repr(bound) + "," is one constant.  S and the residual get one
-    # repr per distinct value of a batch.  A batch is SWEEP_CHUNK points of
-    # whole or split grid blocks, evaluated by one order_parameter_rows call;
-    # each block's prefix cells are joined once, its last two looked up.
-    cells = [repr(k / r) + "," for k in range(r + 1)]
-    cell_column = np.array(cells, dtype=object)
+    # A batch is SWEEP_CHUNK grid points, evaluated by one order_parameter_rows
+    # call and written as one join of an (N, parts + 3) object array gathered
+    # from texts made once: a probability cell is one of the r + 1 strings
+    # repr(k / r) + ",", in the first column led by the newline that ends the
+    # row before; the bound cell "," + repr(bound) + "," is one constant; S and
+    # the residual get one repr per distinct value of a batch.
+    cells = np.array([repr(k / r) + "," for k in range(r + 1)], dtype=object)
+    first_cells = "\n" + cells
+    table = np.empty((SWEEP_CHUNK, parts + 3), dtype=object)
     best, argmax = -1.0, None
     with _output(args) as out:
-        out.write(header + "\n")
+        out.write(header)
         for batch in _grid_batches(parts, r, SWEEP_CHUNK):
-            counts, sizes = _batch_counts(batch, parts)
+            counts = _batch_counts(batch, parts)
             probs = counts / r  # states by construction
             values, _, residuals, bound = order_parameter_rows(b, probs, bits=args.bits)
             top = int(np.argmax(values))
             if values[top] > best:  # strict: the first maximum wins ties
                 best, argmax = float(values[top]), probs[top].tolist()
-            heads = np.array(["".join([cells[c] for c in p]) for p, *_ in batch], dtype=object)
-            heads = np.repeat(heads, sizes)
-            for column in counts[:, len(batch[0][0]):].T:
-                heads += cell_column[column]
-            bound_cell = f",{bound!r},"
-            out.write("".join([
-                f"{head}{s}{bound_cell}{res}\n"
-                for head, s, res in zip(heads.tolist(), _reprs(values), _reprs(residuals))
-            ]))
-        out.write(f"# max_S={best!r} argmax={'|'.join(map(repr, argmax))} bound={bound!r}\n")
+            rows = table[: len(counts)]
+            rows[:, 0] = first_cells[counts[:, 0]]
+            rows[:, 1:parts] = cells[counts[:, 1:]]
+            rows[:, parts] = _reprs(values)
+            rows[:, parts + 1] = f",{bound!r},"
+            rows[:, parts + 2] = _reprs(residuals)
+            out.write("".join(rows.ravel().tolist()))
+        out.write(f"\n# max_S={best!r} argmax={'|'.join(map(repr, argmax))} bound={bound!r}\n")
     if best > bound + args.tolerance:
         return 1
     return 0
@@ -280,7 +278,7 @@ def cmd_enumerate(args) -> int:
         algebra = CondensableAlgebra(source, tuple(weights))
         blocks = branching_blocks(source, algebra, args.max_sectors, args.max_dim, args.tolerance)
     except ValueError as exc:
-        if "integer dims" in str(exc) and not args.catalog:  # the source file's dims
+        if isinstance(exc, NonIntegerDimsError) and not args.catalog:  # the file's dims
             raise cio.SchemaError("dims" if source is doc else "source.dims", str(exc)) from None
         raise UsageError(str(exc)) from None
     with _output(args) as out:

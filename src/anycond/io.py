@@ -11,6 +11,8 @@ booleans, non-finite and out-of-range values with a :class:`SchemaError`.
 
 :func:`load` reads and parses its file on every call and returns a new
 document, which is validated and compiled again where a command needs it.
+Every reader starts with one shape check.  :func:`dump_blocks` is the fast
+branchings writer; :func:`dumps_branchings`, through dicts, its reference.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import operator
 import sys
 from fractions import Fraction
-from itertools import chain, groupby, repeat
+from itertools import chain, repeat
 from pathlib import Path
 from reprlib import repr as _show
 from typing import Union
@@ -174,21 +176,27 @@ def counts_from_text(text: str, field: str) -> list[int]:
     return _counts(values, field)
 
 
-def _check_version(data: dict, path: str):
-    key = f"{path}schema_version"
-    if "schema_version" not in data:
-        raise SchemaError(key, "missing")
-    version = data["schema_version"]
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise SchemaError(
-            key, f"unsupported schema version {_show(version)}, expected {SCHEMA_VERSION}"
-        )
-
-
-def _reject_unknown(data: dict, allowed: set[str], path: str):
+def _check_shape(data, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
+    # The shape check of every reader, in order: ``data`` is an object, its
+    # schema version is supported (where ``required`` names one), and no
+    # field is unknown or missing.
+    if not isinstance(data, dict):
+        raise SchemaError(path.rstrip("."), "expected an object")
+    if "schema_version" in required:
+        key = f"{path}schema_version"
+        if "schema_version" not in data:
+            raise SchemaError(key, "missing")
+        version = data["schema_version"]
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise SchemaError(
+                key, f"unsupported schema version {_show(version)}, expected {SCHEMA_VERSION}"
+            )
     for key in data:
-        if key not in allowed:
+        if key not in required and key not in optional:
             raise SchemaError(f"{path}{key}", "unknown field")
+    for field in required:
+        if field not in data:
+            raise SchemaError(f"{path}{field}", "missing")
 
 
 def system_to_dict(system: AnyonSystem) -> dict:
@@ -206,13 +214,7 @@ def system_to_dict(system: AnyonSystem) -> dict:
 
 
 def system_from_dict(data, path: str = "") -> AnyonSystem:
-    if not isinstance(data, dict):
-        raise SchemaError(path.rstrip("."), "expected an object")
-    _check_version(data, path)
-    _reject_unknown(data, {"schema_version", "labels", "dims", "vacuum", "dual", "twist"}, path)
-    for field in ("labels", "dims", "vacuum"):
-        if field not in data:
-            raise SchemaError(f"{path}{field}", "missing")
+    _check_shape(data, path, ("schema_version", "labels", "dims", "vacuum"), ("dual", "twist"))
     labels = data["labels"]
     if not isinstance(labels, list) or not all(map(isinstance, labels, repeat(str))):
         raise SchemaError(f"{path}labels", "expected a list of strings")
@@ -287,34 +289,29 @@ def _row_text(row: list[int]) -> str:
     return "[\n          " + ",\n          ".join(map(str, row)) + "\n        ]"
 
 
-def _list_blocks(results: list[BranchingData]):
-    # Runs of results that share a source object and a shape, each as one
-    # block over the distinct rows of its matrices.
-    for _, run in groupby(results, key=lambda b: (id(b.source), b.n.shape)):
-        run = list(run)
-        stack = np.stack([b.n for b in run])
-        rows, chosen = np.unique(stack.reshape(-1, stack.shape[2]), axis=0, return_inverse=True)
-        condensed = {id(b.condensed): b.condensed for b in run}
-        position = {key: m for m, key in enumerate(condensed)}
-        which = np.array([position[id(b.condensed)] for b in run])
-        chosen = chosen.reshape(stack.shape[:2])
-        yield Block(run[0].source, tuple(condensed.values()), which, rows, chosen)
+def dumps_branchings(results: list[BranchingData]) -> str:
+    """``json.dumps({"count": ..., "branchings": [...]}, indent=2)`` of the
+    results: the plain reference for :func:`dump_blocks`."""
+    branchings = list(map(branching_to_dict, results))
+    return dumps_indented({"count": len(results), "branchings": branchings})
 
 
-def _branchings_chunks(count: int, blocks):
-    # The text of json.dumps({"count", "branchings"}, indent=2) of the
-    # results of ``blocks``: the text of each row of a block's table and of
-    # each system is made once, and each slice of a block is gathered from
-    # them and joined.
-    systems: dict[int, str] = {}
+def dump_branchings(results: list[BranchingData], fh):
+    """Write :func:`dumps_branchings` to ``fh``."""
+    fh.write(dumps_branchings(results))
+
+
+def dump_blocks(blocks: list[Block], fh):
+    """Write the text of :func:`dumps_branchings` of the results of the
+    search's ``blocks`` to ``fh``, without a ``BranchingData`` per result.
+    The text of each row of a block's table and of each of its systems is
+    made once, and each slice of the block is gathered from them and joined."""
 
     def system_text(system: AnyonSystem) -> str:
-        key = id(system)  # the blocks keep every system alive
-        if key not in systems:
-            systems[key] = dumps_indented(system_to_dict(system), depth=3)
-        return systems[key]
+        return dumps_indented(system_to_dict(system), depth=3)
 
-    yield f'{{\n  "count": {count},\n  "branchings": ['
+    count = sum(len(b.which) for b in blocks)
+    fh.write(f'{{\n  "count": {count},\n  "branchings": [')
     first = True
     for block in blocks:
         texts = np.array(list(map(_row_text, block.rows.tolist())), dtype=object)
@@ -336,35 +333,12 @@ def _branchings_chunks(count: int, blocks):
             part[:, 1::2] = texts[chosen]
             if first:
                 part[0, 0], first = part[0, 0][1:], False
-            yield "".join(part.ravel().tolist())
-    yield "\n  ]\n}" if count else "]\n}"
-
-
-def dumps_branchings(results: list[BranchingData]) -> str:
-    """``json.dumps({"count": ..., "branchings": [...]}, indent=2)`` of the
-    results, byte for byte, without building their dicts."""
-    return "".join(_branchings_chunks(len(results), _list_blocks(results)))
-
-
-def dump_branchings(results: list[BranchingData], fh):
-    """Write :func:`dumps_branchings` to ``fh`` as it is produced."""
-    fh.writelines(_branchings_chunks(len(results), _list_blocks(results)))
-
-
-def dump_blocks(blocks: list[Block], fh):
-    """Write the text of :func:`dumps_branchings` of the results of the
-    search's ``blocks`` to ``fh``, without a ``BranchingData`` per result."""
-    fh.writelines(_branchings_chunks(sum(len(b.which) for b in blocks), blocks))
+            fh.write("".join(part.ravel().tolist()))
+    fh.write("\n  ]\n}" if count else "]\n}")
 
 
 def branching_from_dict(data, path: str = "") -> BranchingData:
-    if not isinstance(data, dict):
-        raise SchemaError(path.rstrip("."), "expected an object")
-    _check_version(data, path)
-    _reject_unknown(data, {"schema_version", "source", "condensed", "n"}, path)
-    for field in ("source", "condensed", "n"):
-        if field not in data:
-            raise SchemaError(f"{path}{field}", "missing")
+    _check_shape(data, path, ("schema_version", "source", "condensed", "n"))
     source = system_from_dict(data["source"], f"{path}source.")
     condensed = system_from_dict(data["condensed"], f"{path}condensed.")
     rows = data["n"]
@@ -372,20 +346,19 @@ def branching_from_dict(data, path: str = "") -> BranchingData:
         raise SchemaError(f"{path}n", f"expected {len(source)} rows")
     matrix = _count_matrix(rows, len(condensed))
     if matrix is None:
-        # Row by row, which names the first bad row or entry.
+        # The error path: row by row, which names the first bad row or entry.
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != len(condensed):
                 raise SchemaError(f"{path}n[{i}]", f"expected {len(condensed)} entries")
             _counts(row, f"{path}n[{i}]")
-        matrix = rows
     return BranchingData(source, condensed, matrix)  # shape and entries are checked
 
 
 def _count_matrix(rows: list, width: int) -> np.ndarray | None:
     # The rows as an int64 array when each is a list of ``width`` ints in
-    # [0, 2**63), the shape and count rule that :func:`branching_from_dict`
-    # names entry by entry, here checked in a few passes at C speed; else None.
-    if set(map(type, rows)) != {list} or set(map(len, rows)) != {width}:
+    # [0, 2**63), checked in a few passes at C speed; else None, for rows that
+    # the walk in :func:`branching_from_dict` refuses, naming the bad entry.
+    if not all(map(isinstance, rows, repeat(list))) or set(map(len, rows)) != {width}:
         return None
     entries = list(chain.from_iterable(rows))
     if set(map(type, entries)) != {int} or min(entries) < 0 or max(entries) >= 2**63:
@@ -394,11 +367,7 @@ def _count_matrix(rows: list, width: int) -> np.ndarray | None:
 
 
 def state_from_dict(data, system: AnyonSystem, path: str = "") -> SectorState:
-    if not isinstance(data, dict):
-        raise SchemaError(path.rstrip("."), "expected an object")
-    _reject_unknown(data, {"probs"}, path)
-    if "probs" not in data:
-        raise SchemaError(f"{path}probs", "missing")
+    _check_shape(data, path, ("probs",))
     probs = reals(data["probs"], f"{path}probs")
     try:
         return SectorState(system, probs)

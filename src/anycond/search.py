@@ -45,6 +45,10 @@ from .systems import DEFAULT_TOL, AnyonSystem, validate_system
 FILL_CHUNK = 1 << 16
 
 
+class NonIntegerDimsError(ValueError):
+    """The search refuses a source whose dims are not integers within ``tol``."""
+
+
 def _dim_multisets(budget: int, max_len: int, max_dim: int) -> list[tuple[int, ...]]:
     """Non-decreasing tuples of dims in [1, max_dim] whose squares sum to budget.
 
@@ -136,7 +140,8 @@ class Block(NamedTuple):
 
     Result r maps ``source`` to ``condensed[which[r]]``, and its matrix n
     is ``rows[chosen[r]]``: ``rows`` is an ``(O, 1 + k)`` int64 array of the
-    rows of n that the results take, each option of a dim multiset once.
+    rows of n that the results take, each option of a dim multiset once, and
+    ``chosen`` is in the smallest unsigned dtype that indexes it.
     """
 
     source: AnyonSystem
@@ -158,8 +163,8 @@ def enumerate_branchings(
     Results are unique up to relabelling of the non-vacuum condensed
     sectors and returned in a deterministic order: by sector count, then by
     (d_1, column 1, d_2, column 2, ...) over the non-vacuum columns.  Raises
-    ``ValueError`` for non-integer source dims or bounds below 1.  The
-    results of one sector count view one read-only matrix stack.
+    :class:`NonIntegerDimsError` for non-integer dims, ``ValueError`` for
+    bounds below 1.  One sector count's results view one read-only stack.
     """
     results = []
     for block in branching_blocks(source, algebra, max_sectors, max_dim, tol):
@@ -188,8 +193,8 @@ def branching_blocks(
     d = [round(x) for x in source.dims]
     for label, x, di in zip(source.labels, source.dims, d):
         if not abs(x - di) <= tol:
-            raise ValueError(f"enumeration requires integer dims, within {tol}, "
-                             f"but sector {label!r} has d = {x!r}")
+            raise NonIntegerDimsError(f"enumeration requires integer dims, within {tol}, "
+                                      f"but sector {label!r} has d = {x!r}")
     coeff = algebra.coefficients
     if not validate_system(source, tol).ok or boson_violations(source, coeff):
         return []
@@ -225,9 +230,12 @@ def branching_blocks(
             ties = [j for j in range(k - 1) if rest_dims[j] == rest_dims[j + 1]]
             targets = np.array(rest_dims) * lam
             picks = _orderly_fill(d, [options[j][:, 1:] for j in slot], targets, ties)
-            # Each pick as a row of the multiset's table of options.
+            # Each pick as a row of the multiset's table of options, in the
+            # smallest dtype that indexes the sector count's table so far.
             table = np.concatenate(options)
-            picks = picks + np.cumsum([0] + list(map(len, options)))[slot]
+            base = sum(map(len, tables))
+            index_type = np.min_scalar_type(base + len(table) - 1)
+            picks = picks + np.cumsum([0] + list(map(len, options)))[slot].astype(index_type)
             system = AnyonSystem(
                 labels=_condensed_labels(k),
                 dims=(1.0,) + tuple(float(x) for x in rest_dims),
@@ -244,7 +252,7 @@ def branching_blocks(
             key[:, :, 0] = rest_dims
             key[:, :, 1:] = table[:, 1:].astype(key_type)[picks].transpose(0, 2, 1)
             condensed.append(system)
-            chosen.append(picks + sum(map(len, tables)))
+            chosen.append(np.add(picks, base, dtype=index_type))
             tables.append(table)
             keys.append(key.reshape(len(picks), -1))
         if not chosen:

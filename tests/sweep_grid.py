@@ -9,4 +9,4 @@ def sweep_grid(parts: int, resolution: int):
     """The points of the resolution-``resolution`` grid on the simplex of
     ``parts`` sectors, as count tuples, in the order ``sweep`` prints them."""
     for batch in cli._grid_batches(parts, resolution, cli.SWEEP_CHUNK):
-        yield from map(tuple, cli._batch_counts(batch, parts)[0].tolist())
+        yield from map(tuple, cli._batch_counts(batch, parts).tolist())

@@ -331,6 +331,18 @@ def test_enumerate_names_the_file_field_and_sector_of_a_non_integer_dim(tmp_path
         assert (code, out, err) == (2, "", "error: one coefficient per source sector required\n")
 
 
+def test_enumerate_names_a_file_field_only_for_the_typed_dims_refusal(tmp_path, monkeypatch):
+    # Any other ValueError is a usage error, even one whose text reads alike.
+    def refuse(*args):
+        raise ValueError("enumeration requires integer dims, or so it says")
+
+    monkeypatch.setattr(cli, "branching_blocks", refuse)
+    path = tmp_path / "source.json"
+    cio.save(ac.entry("toric-1Y").branching.source, path)
+    code, out, err = run_clean("enumerate", "--source", str(path), "--algebra", "1,1,0,0")
+    assert (code, out, err) == (2, "", "error: enumeration requires integer dims, or so it says\n")
+
+
 def test_duality_cli_finds_the_swap(capsys):
     code, out, _ = run(
         capsys, "duality", "--catalog-a", "toric-1Y", "--catalog-b", "toric-1Z"

@@ -149,6 +149,53 @@ def test_state_from_dict_accepts_rationals():
         cio.state_from_dict({"probs": [0.5, 0.5], "junk": 1}, system)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("source", ["1", "X", "Y", "Z"], "source: expected an object"),
+        ("source", "toric", "source: expected an object"),
+        ("source", None, "source: missing"),
+        ("n", [[1, 0], [0, 1], [0, 1]], "n: expected 4 rows"),
+        ("n", {"1": [1, 0]}, "n: expected 4 rows"),
+    ],
+    ids=["source-list", "source-string", "no-source", "three-rows", "n-object"],
+)
+def test_branching_shape_refusals_name_their_field(key, value, message):
+    doc = _toric_doc()
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    with pytest.raises(cio.SchemaError) as err:
+        cio.branching_from_dict(doc)
+    assert (err.value.field, str(err.value)) == (key, message)
+
+
+@pytest.mark.parametrize("data", [[{"schema_version": 1}], "toric-1Y", None])
+def test_a_branching_that_is_not_an_object_is_refused(data):
+    with pytest.raises(cio.SchemaError) as err:
+        cio.branching_from_dict(data)
+    assert (err.value.field, str(err.value)) == ("", "expected an object")
+
+
+@pytest.mark.parametrize(
+    "data, field, message",
+    [
+        ({}, "probs", "probs: missing"),
+        ({"probs": [1, 0, 0, 0], "extra": 1}, "extra", "extra: unknown field"),
+        ({"extra": 1}, "extra", "extra: unknown field"),
+        ({"probs": [0.5, 0.4, 0, 0]}, "probs", "probs: probabilities sum to np.float64(0.9), not 1"),
+        ({"probs": [0.5, 0.5, 0, 0, 0]}, "probs", "probs: expected 4 probabilities, got shape (5,)"),
+        ([0.5, 0.5, 0, 0], "", "expected an object"),
+    ],
+    ids=["no-probs", "unknown-field", "unknown-before-missing", "sum-0.9", "too-many", "list"],
+)
+def test_state_refusals_name_their_field(data, field, message):
+    with pytest.raises(cio.SchemaError) as err:
+        cio.state_from_dict(data, toric_system())
+    assert (err.value.field, str(err.value)) == (field, message)
+
+
 def test_twists_round_trip_exactly(tmp_path):
     system = toric_system()
     path = tmp_path / "sys.json"
@@ -356,9 +403,12 @@ def test_enumerate_cli_prints_json_dumps_text(capsys, tmp_path, argv):
 
 def _assert_cli_enumerate_text(source, coefficients, max_sectors, max_dim, directory):
     # enumerate --source, to stdout and to --output, prints json.dumps of
-    # the library's results byte for byte; returns that text.
+    # the library's results byte for byte, as the plain list writer does;
+    # returns that text.
     algebra = ac.CondensableAlgebra(source, tuple(coefficients))
-    want = _reference_text(ac.enumerate_branchings(source, algebra, max_sectors, max_dim)) + "\n"
+    results = ac.enumerate_branchings(source, algebra, max_sectors, max_dim)
+    want = _reference_text(results) + "\n"
+    assert cio.dumps_branchings(results) + "\n" == want
     path, out = Path(directory) / "source.json", Path(directory) / "out.json"
     cio.save(source, path)
     argv = ["enumerate", "--source", str(path), "--algebra", ",".join(map(str, coefficients)),

@@ -103,8 +103,9 @@ def test_lagrangian_column_gives_single_sector():
 def test_rejects_non_integer_dims():
     source = ac.AnyonSystem(("1", "s"), (1.0, 2.0 ** 0.5), "1")
     algebra = ac.CondensableAlgebra(source, (1, 0))
-    with pytest.raises(ValueError, match="integer dims"):
+    with pytest.raises(search.NonIntegerDimsError, match="integer dims") as err:
         ac.enumerate_branchings(source, algebra, 2, 2)
+    assert isinstance(err.value, ValueError)
 
 
 def test_rejects_algebra_over_other_system():
@@ -116,8 +117,9 @@ def test_rejects_algebra_over_other_system():
 def test_rejects_silly_bounds():
     source = toric_system()
     algebra = ac.CondensableAlgebra(source, (1, 1, 0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         ac.enumerate_branchings(source, algebra, 0, 2)
+    assert not isinstance(err.value, search.NonIntegerDimsError)
 
 
 @pytest.mark.parametrize("budget", [0, 1, 2, 3, 4, 5, 8, 9, 13, 25, 30])
@@ -327,6 +329,30 @@ def test_results_share_one_read_only_matrix_stack():
     stacks = {id(b.n.base) for b in got}
     assert len(stacks) == 1 and not got[0].n.base.flags.writeable
     assert got[0].n.base.shape == (105, 10, 5)
+
+
+@pytest.mark.parametrize(
+    "dims, max_sectors, max_dim, dtypes, count",
+    [
+        ((1,) * 10, 5, 2, [np.uint8], 105),
+        # The 11-sector block joins two multisets' tables into 739 rows.
+        ((1, 1, 1, 1, 2, 2, 2, 2, 4, 4), 11, 4, [np.uint8, np.uint8, np.uint16], 19),
+    ],
+)
+def test_choices_are_kept_in_the_smallest_dtype_that_indexes_their_table(
+    dims, max_sectors, max_dim, dtypes, count
+):
+    labels = tuple(f"s{i}" for i in range(len(dims)))
+    source = ac.AnyonSystem(labels, tuple(map(float, dims)), "s0")
+    algebra = ac.CondensableAlgebra(source, (1, 1) + (0,) * (len(dims) - 2))
+    blocks = search.branching_blocks(source, algebra, max_sectors, max_dim)
+    assert [b.chosen.dtype for b in blocks] == [np.min_scalar_type(len(b.rows) - 1) for b in blocks]
+    assert [b.chosen.dtype for b in blocks] == dtypes
+    # The labelled search takes over a minute on the second case, so the
+    # results are checked as valid, one per relabelling orbit, and counted.
+    got = ac.enumerate_branchings(source, algebra, max_sectors, max_dim)
+    assert all(ac.validate_branching(b).ok for b in got)
+    assert len(_solver_keys(got)) == len(got) == count
 
 
 @st.composite
