@@ -25,7 +25,8 @@ order is deterministic: by sector count, then, across all dim multisets of
 that count, by the flattened key (d_1, column 1, d_2, column 2, ...).  The
 results of each sector count are kept as one sorted :class:`Block`, from
 which :func:`enumerate_branchings` builds its branchings and the ``io``
-writer its text.
+writer its text; the block and its sort key are built once per sector
+count.  No part of the search recurses.
 """
 
 from __future__ import annotations
@@ -69,20 +70,21 @@ def _dim_multisets(budget: int, max_len: int, max_dim: int) -> list[tuple[int, .
 
 
 def _row_solutions(target: int, dims: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All non-negative integer vectors v with sum_j v[j] * dims[j] = target."""
-    if target < 0:
-        return []
-    solutions: list[tuple[int, ...]] = []
+    """All non-negative integer vectors v with sum_j v[j] * dims[j] = target,
+    in lexicographic order.
 
-    def extend(j: int, left: int, prefix: tuple[int, ...]):
-        if j == len(dims):
-            if left == 0:
-                solutions.append(prefix)
-            return
-        for v in range(left // dims[j] + 1):
-            extend(j + 1, left - v * dims[j], prefix + (v,))
-
-    extend(0, target, ())
+    A depth-first walk over its own stack fixes one entry at a time, smallest
+    value first; a prefix that meets the target is completed with zeros at once.
+    """
+    solutions = []
+    stack = [((), target)] if target >= 0 else []
+    while stack:
+        prefix, left = stack.pop()
+        if left == 0:
+            solutions.append(prefix + (0,) * (len(dims) - len(prefix)))
+        elif len(prefix) < len(dims):
+            dim = dims[len(prefix)]
+            stack.extend((prefix + (v,), left - v * dim) for v in range(left // dim, -1, -1))
     return solutions
 
 
@@ -129,10 +131,6 @@ def _orderly_fill(
         chosen = chosen[entry]
         chosen[:, i] = pick
     return chosen[(weights == targets).all(axis=1)]
-
-
-def _condensed_labels(count: int) -> tuple[str, ...]:
-    return ("phi",) + tuple(f"t{i}" for i in range(1, count + 1))
 
 
 class Block(NamedTuple):
@@ -210,59 +208,58 @@ def branching_blocks(
     # only within tol accumulate float error that validation may reject.
     exact = all(x == di for x, di in zip(source.dims, d))
 
+    # Rows with the same coefficient and dim share one option array.  The
+    # source vacuum's row is a kind of its own, forced to the vacuum-column
+    # indicator: its rest is the one solution for 0.
+    kinds = [(c, None if i == vac else d[i] - c) for i, c in enumerate(coeff)]
+    distinct = list(dict.fromkeys(kinds))
+    slot = [distinct.index(kind) for kind in kinds]
     # Key cells: the condensed dims and every matrix entry fit in it.
     key_type = np.min_scalar_type(max(d + [rest_budget]))
     blocks = []
     for k, multisets in groupby(_dim_multisets(rest_budget, max_sectors - 1, max_dim), len):
-        condensed, tables, chosen, keys = [], [], [], []
+        labels = ("phi", *(f"t{i}" for i in range(1, k + 1)))
+        found = []
         for rest_dims in multisets:
-            # Rows with the same coefficient and dim share one option array;
-            # the row of the source vacuum is forced to the vacuum-column indicator.
-            kinds = [(c, None if i == vac else d[i] - c) for i, c in enumerate(coeff)]
-            distinct = list(dict.fromkeys(kinds))
-            options = []
-            for c, target in distinct:
-                rows = [(0,) * k] if target is None else _row_solutions(target, rest_dims)
-                options.append(np.array([(c, *row) for row in rows], np.int64).reshape(-1, k + 1))
+            options = [np.array([(c, *row) for row in _row_solutions(target or 0, rest_dims)],
+                                np.int64).reshape(-1, k + 1) for c, target in distinct]
             if not all(map(len, options)):
                 continue
-            slot = [distinct.index(kind) for kind in kinds]
             ties = [j for j in range(k - 1) if rest_dims[j] == rest_dims[j + 1]]
             targets = np.array(rest_dims) * lam
-            picks = _orderly_fill(d, [options[j][:, 1:] for j in slot], targets, ties)
+            pick = _orderly_fill(d, [options[j][:, 1:] for j in slot], targets, ties)
             # Each pick as a row of the multiset's table of options, in the
-            # smallest dtype that indexes the sector count's table so far.
+            # smallest dtype that indexes that table.
             table = np.concatenate(options)
-            base = sum(map(len, tables))
-            index_type = np.min_scalar_type(base + len(table) - 1)
-            picks = picks + np.cumsum([0] + list(map(len, options)))[slot].astype(index_type)
-            system = AnyonSystem(
-                labels=_condensed_labels(k),
-                dims=(1.0,) + tuple(float(x) for x in rest_dims),
-                vacuum="phi",
-            )
-            if not exact and len(picks):
-                built = map(BranchingData, repeat(source), repeat(system), table[picks])
-                picks = picks[[validate_branching(b, tol).ok for b in built]]
-            if not len(picks):
-                continue
-            # Per result, (d_1, column 1, d_2, column 2, ...): the columns are
-            # already canonical, so this is the (dim, column) key results sort by.
-            key = np.empty((len(picks), k, 1 + len(d)), dtype=key_type)
-            key[:, :, 0] = rest_dims
-            key[:, :, 1:] = table[:, 1:].astype(key_type)[picks].transpose(0, 2, 1)
-            condensed.append(system)
-            chosen.append(np.add(picks, base, dtype=index_type))
-            tables.append(table)
-            keys.append(key.reshape(len(picks), -1))
-        if not chosen:
+            starts = np.cumsum([0] + list(map(len, options)))[slot]
+            pick = pick + starts.astype(np.min_scalar_type(len(table) - 1))
+            system = AnyonSystem(labels=labels, dims=(1.0, *map(float, rest_dims)), vacuum="phi")
+            if not exact and len(pick):
+                built = map(BranchingData, repeat(source), repeat(system), table[pick])
+                pick = pick[[validate_branching(b, tol).ok for b in built]]
+            if len(pick):
+                found.append((system, table, pick))
+        if not found:
             continue
-        which = np.repeat(np.arange(len(chosen)), list(map(len, chosen)))
-        chosen = np.concatenate(chosen)
-        # Within one sector count, one sort by that key; a full condensation
+        condensed, tables, picks = zip(*found)
+        # One table per sector count: each result's picks move by their
+        # table's offset, in the smallest dtype that indexes the joined table.
+        rows = np.concatenate(tables)
+        index_type = np.min_scalar_type(len(rows) - 1)
+        which = np.repeat(np.arange(len(picks)), list(map(len, picks)))
+        chosen = np.concatenate(picks, dtype=index_type)
+        chosen += np.cumsum([0] + list(map(len, tables[:-1])), dtype=index_type)[which, None]
+        # Within one sector count, one sort by (d_1, column 1, d_2, column 2,
+        # ...): the columns are already canonical, so this is the (dim,
+        # column) key results sort by.  The key holds one contiguous row per
+        # cell, filled one condensed column at a time; a full condensation
         # (k = 0) has no key cells and at most one result.
         if len(chosen) > 1:
-            order = np.lexsort(np.concatenate(keys).T[::-1])
+            key = np.empty((k, 1 + len(d), len(chosen)), key_type)
+            key[:, 0] = np.array([system.dims[1:] for system in condensed], key_type)[which].T
+            for j, column in enumerate(rows[:, 1:].T.astype(key_type)):
+                key[j, 1:] = column[chosen].T
+            order = np.lexsort(key.reshape(-1, len(chosen))[::-1])
             which, chosen = which[order], chosen[order]
-        blocks.append(Block(source, tuple(condensed), which, np.concatenate(tables), chosen))
+        blocks.append(Block(source, condensed, which, rows, chosen))
     return blocks

@@ -103,6 +103,13 @@ def test_zn_ids_are_bounded_by_the_cap():
         assert time.perf_counter() - start < 0.5
 
 
+def test_zn_system_needs_at_least_one_sector():
+    from anycond.catalog import zn_system
+
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        zn_system(0)
+
+
 def test_entry_equals_the_catalog_item():
     for item in ac.catalog():
         assert ac.entry(item.id) == item

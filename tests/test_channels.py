@@ -341,6 +341,29 @@ def test_sector_state_rejects_bad_input(toric_1y):
         ac.SectorState(system, [1.0, 0.0])
 
 
+def test_sector_state_rejects_nan(toric_1y):
+    with pytest.raises(ValueError, match="^probabilities must be finite$"):
+        ac.SectorState(toric_1y.source, [0.5, float("nan"), 0.5, 0.0])
+
+
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [([1.0, 2.0], r"^expected 4 coefficients, got shape \(2,\)$"),
+     ([1.0, float("inf"), 0.0, 0.0], "^coefficients must be finite$")],
+    ids=["wrong-shape", "inf"],
+)
+def test_diagonal_operator_rejects_bad_coefficients(toric_1y, coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        ac.DiagonalOperator(toric_1y.source, coeffs)
+
+
+@pytest.mark.parametrize("kind", ["branching", "state"])
+def test_equality_with_another_type_is_left_to_the_other_operand(toric_1y, kind):
+    value = toric_1y if kind == "branching" else ac.SectorState(toric_1y.source, [1, 0, 0, 0])
+    assert value.__eq__(object()) is NotImplemented
+    assert value != "toric-1Y"
+
+
 @st.composite
 def simplex4(draw):
     raw = draw(

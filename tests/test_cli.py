@@ -515,6 +515,31 @@ def test_validate_nothing_is_usage_error(capsys):
     assert "nothing to validate" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["entropy", "--state", "1"], "provide --catalog ID or --branching FILE"),
+        (["entropy", "--catalog", "toric-1Y"], "provide --state P1,P2,... or --state-file FILE"),
+        (["enumerate", "--algebra", "1"], "provide --catalog ID or --source FILE"),
+        (["duality", "--a", "x.json"], "provide --a/--b files or --catalog-a/--catalog-b ids"),
+        (["duality", "--catalog-a", "z9-trivial", "--catalog-b", "z9-trivial"],
+         "9 labels exceed the search cap 8"),
+    ],
+    ids=["entropy-no-branching", "entropy-no-state", "enumerate-no-source", "duality-one-file",
+         "duality-beyond-the-label-cap"],
+)
+def test_missing_or_oversized_input_is_a_usage_error(argv, message):
+    code, out, err = run_clean(*argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_catalog_show_without_an_id_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["catalog", "show"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith("error: catalog show requires an entry id\n")
+
+
 def test_global_flags_accepted_after_subcommand(capsys):
     code, out, _ = run(capsys, "sweep", "--catalog", "toric-1Y", "--grid-resolution", "1")
     assert code == 0

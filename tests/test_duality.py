@@ -110,6 +110,16 @@ def test_find_dualities_requires_shared_source(toric_1y, rep_s3_1x):
         ac.find_dualities(toric_1y, rep_s3_1x)
 
 
+def test_equal_index_with_different_condensed_sector_counts_gives_no_duality():
+    source = ac.AnyonSystem(("1", "a", "b", "c"), (1.0, 1.0, 2.0, 2.0), "1")
+    algebra = ac.CondensableAlgebra(source, (1, 1, 0, 0))
+    fewer, more = ac.enumerate_branchings(source, algebra, max_sectors=8, max_dim=2)
+    assert (len(fewer.condensed), len(more.condensed)) == (2, 5)
+    assert ac.jones_index(fewer) == ac.jones_index(more) == 2
+    assert ac.validate_branching(fewer).ok and ac.validate_branching(more).ok
+    assert ac.find_dualities(fewer, more) == []
+
+
 def test_find_dualities_cap():
     big = ac.trivial_condensation(zn_system(9))
     with pytest.raises(ValueError, match="cap"):

@@ -170,6 +170,11 @@ def test_infinite_temperature_with_multiplicities():
         ac.infinite_temperature_state(rep_s3_system(), [1, 0, 1])
 
 
+def test_infinite_temperature_rejects_the_wrong_number_of_multiplicities():
+    with pytest.raises(ValueError, match="^one multiplicity per sector required$"):
+        ac.infinite_temperature_state(rep_s3_system(), [1, 1])
+
+
 def test_infinite_temperature_rejects_unknown_labels():
     # A mapping key that is not a sector is an error, as in
     # CondensableAlgebra.from_labels, not a silently ignored entry.
@@ -242,6 +247,13 @@ def test_perturbation_rejects_non_zero_sum_direction():
     base = ac.symmetric_state(b.source)
     with pytest.raises(ValueError, match="zero-sum"):
         ac.perturbation_scan(b, base, [[1.0, 0.0]], [1e-3])
+
+
+def test_perturbation_rejects_a_direction_of_the_wrong_length():
+    b = ac.zn_full(2)
+    base = ac.symmetric_state(b.source)
+    with pytest.raises(ValueError, match="^direction 1 has wrong length$"):
+        ac.perturbation_scan(b, base, [[1.0, -1.0], [1.0, 0.0, -1.0]], [1e-3])
 
 
 # --- hypothesis properties --------------------------------------------------

@@ -490,6 +490,21 @@ def test_twist_values_may_be_integers_or_fraction_strings():
     assert system.twist == {"1": 0, "Y": Fraction(1, 2), "X": Fraction(1, 2), "Z": 0}
 
 
+def test_integer_dims_and_twists_load_equal_to_their_float_and_fraction_twin():
+    whole = cio.system_to_dict(zn_system(3))
+    whole.update(dims=[1, 1, 1], twist={"0": 0, "1": 1, "2": -2})
+    twin = cio.system_to_dict(zn_system(3))
+    twin.update(dims=[1.0, 1.0, 1.0], twist={"0": 0.0, "1": 1.0, "2": "-2"})
+    loaded = cio.loads(json.dumps(whole))
+    assert loaded == cio.loads(json.dumps(twin)) == zn_system(3)
+    assert loaded.twist == {"0": 0, "1": 0, "2": 0}
+
+
+def test_to_dict_refuses_what_is_not_a_document():
+    with pytest.raises(TypeError, match="^cannot serialise object$"):
+        cio.to_dict(object())
+
+
 def test_state_from_dict_parses_repeated_strings_alike():
     system = zn_system(6)
     raw = ["1/6", "0", "1/6", "1/3", "0", "1/3"]

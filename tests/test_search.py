@@ -165,6 +165,35 @@ def test_dim_multisets_cost_follows_the_output():
     assert search._dim_multisets(1023, 2000, 1) == [(1,) * 1023]
 
 
+@pytest.mark.parametrize("dims", [(), (1,), (2,), (1, 1), (1, 2), (3, 1, 2), (2, 2, 1, 4)])
+def test_row_solutions_match_a_product_filter(dims):
+    for target in range(-2, 12):
+        want = [v for v in product(*(range(target // d + 1) for d in dims))
+                if sum(x * d for x, d in zip(v, dims)) == target] if target >= 0 else []
+        assert search._row_solutions(target, dims) == want
+
+
+def test_row_solutions_do_not_recurse():
+    # 1,100 dims: deeper than the interpreter's default recursion limit.
+    unit = [tuple(int(i == j) for i in range(1100)) for j in range(1100)]
+    assert search._row_solutions(1, (1,) * 1100) == sorted(unit)
+
+
+def test_search_depth_does_not_grow_with_the_condensed_sectors():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    source, algebra = _plain(300, {0})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        got = ac.enumerate_branchings(source, algebra, max_sectors=300, max_dim=1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(got) == 1
+    assert np.array_equal(got[0].n, np.eye(300, dtype=np.int64)[:, [0, *range(299, 0, -1)]])
+
+
 def test_deterministic_output():
     source = rep_s3_system()
     algebra = ac.CondensableAlgebra(source, (1, 1, 0))
