@@ -160,56 +160,28 @@ def cmd_entropy(args) -> int:
     return 0
 
 
-def _grid_blocks(parts: int, resolution: int):
+def _grid(parts: int, resolution: int, size: int):
     # The integer compositions of `resolution` into `parts` counts, first
-    # coordinate descending (so the vacuum vertex comes first), as blocks
-    # (prefix, m): the prefix holds the first parts - 2 counts, and the
-    # block's m + 1 points end in (m, 0), (m - 1, 1), ..., (0, m).  The
-    # prefixes and m step like an odometer in descending lexicographic
-    # order.  A one-part grid is the block ((resolution,), 0) cut to one count.
-    if parts == 1:
-        yield (resolution,), 0
-        return
-    n = parts - 2
-    c = [resolution] + [0] * n
-    while True:
-        yield tuple(c[:n]), c[n]
-        i = n - 1
-        while i >= 0 and c[i] == 0:
-            i -= 1
-        if i < 0:
-            return
-        c[i] -= 1
-        c[n], c[i + 1] = 0, c[n] + 1
-
-
-def _grid_batches(parts: int, resolution: int, size: int):
-    # The blocks in lists of segments (prefix, m, lo, hi), the points lo to
-    # hi - 1 of a block, `size` points to a list but the last.  A block that
-    # straddles two lists is split, so memory stays flat even when one block
-    # is the whole grid.
-    batch, room = [], size
-    for prefix, m in _grid_blocks(parts, resolution):
-        lo = 0
-        while m + 1 - lo >= room:
-            batch.append((prefix, m, lo, lo + room))
-            yield batch
-            batch, lo, room = [], lo + room, size
-        if lo <= m:
-            batch.append((prefix, m, lo, m + 1))
-            room -= m + 1 - lo
-    if batch:
-        yield batch
-
-
-def _batch_counts(batch, parts: int) -> np.ndarray:
-    # The points of a batch as the rows of an int array.
-    prefixes, m, lo, hi = (np.array(column, dtype=int) for column in zip(*batch))
-    sizes = hi - lo
-    j = np.arange(sizes.sum()) + np.repeat(lo + sizes - np.cumsum(sizes), sizes)
-    m = np.repeat(m, sizes)
-    counts = np.column_stack([np.repeat(prefixes, sizes, axis=0), m - j, j])
-    return counts[:, :parts]
+    # coordinate descending (so the vacuum vertex comes first), as int arrays
+    # of `size` rows but the last.  Each point follows from its rank in that
+    # order (Knuth, TAOCP 4A, 7.2.1.3): with q counts left, before[w] =
+    # C(w + q - 2, q - 1) points come before the first whose remaining total
+    # after this count is w, and the table for q is the running sum of the
+    # one for q - 1, from before[w] = w at q = 2.  The last two counts of
+    # rank j are (left - j, j), so they need no table, and a one-part grid
+    # is (resolution, 0) cut to one count.
+    tables = []
+    for _ in range(parts - 2):
+        tables.append(np.cumsum(tables[-1] if tables else np.arange(resolution + 1)))
+    total = comb(resolution + parts - 1, parts - 1)
+    for lo in range(0, total, size):
+        rank, left, columns = np.arange(lo, min(lo + size, total)), resolution, []
+        for before in reversed(tables):
+            w = np.searchsorted(before, rank, side="right") - 1
+            rank = rank - before[w]
+            columns.append(left - w)
+            left = w
+        yield np.column_stack([*columns, left - rank, rank])[:, :parts]
 
 
 def _reprs(x: np.ndarray) -> np.ndarray:
@@ -233,20 +205,20 @@ def cmd_sweep(args) -> int:
             f"grid of {points} points exceeds the cap of {GRID_POINT_CAP}; lower --grid-resolution"
         )
     header = ",".join([f"p_{label}" for label in b.source.labels] + ["S", "bound", "residual"])
-    # A batch is SWEEP_CHUNK grid points, evaluated by one order_parameter_rows
-    # call and written as one join of an (N, parts + 3) object array gathered
-    # from texts made once: a probability cell is one of the r + 1 strings
-    # repr(k / r) + ",", in the first column led by the newline that ends the
-    # row before; the bound cell "," + repr(bound) + "," is one constant; S and
-    # the residual get one repr per distinct value of a batch.
+    # A batch is SWEEP_CHUNK grid points, computed from their ranks by _grid,
+    # evaluated by one order_parameter_rows call and written as one join of an
+    # (N, parts + 3) object array gathered from texts made once: a probability
+    # cell is one of the r + 1 strings repr(k / r) + ",", in the first column
+    # led by the newline that ends the row before; the bound cell
+    # "," + repr(bound) + "," is one constant; S and the residual get one repr
+    # per distinct value of a batch.
     cells = np.array([repr(k / r) + "," for k in range(r + 1)], dtype=object)
     first_cells = "\n" + cells
     table = np.empty((SWEEP_CHUNK, parts + 3), dtype=object)
     best, argmax = -1.0, None
     with _output(args) as out:
         out.write(header)
-        for batch in _grid_batches(parts, r, SWEEP_CHUNK):
-            counts = _batch_counts(batch, parts)
+        for counts in _grid(parts, r, SWEEP_CHUNK):
             probs = counts / r  # states by construction
             values, _, residuals, bound = order_parameter_rows(b, probs, bits=args.bits)
             top = int(np.argmax(values))
@@ -433,7 +405,9 @@ def main(argv=None) -> int:
         return 2
     except (UsageError, cio.SchemaError, KeyError, FileNotFoundError, IsADirectoryError,
             PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

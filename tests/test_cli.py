@@ -13,10 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import run_clean
+from reference_sweep import sweep_text
 
 import anycond as ac
 from anycond import cli
 from anycond import io as cio
+from anycond.catalog import ZN_CAP
 from anycond.cli import main
 
 DEFAULT_CHUNK = cli.SWEEP_CHUNK
@@ -226,6 +228,18 @@ def test_sweep_footer_keeps_the_first_maximum_across_chunks(capsys, monkeypatch)
         assert values.count(top) == 3
         first = lines[1 + values.index(top)].split(",")[:3]
         assert lines[-1].split("argmax=")[1].split(" ")[0] == "|".join(first)
+
+
+def test_sweep_above_the_bound_exits_1(capsys):
+    # On the 1-X edge of repS3-1Y, S is log 3 exactly, and rounding puts the
+    # computed value one ulp above the bound, which a tolerance of 1e-300
+    # does not absorb.
+    argv = ["--tolerance", "1e-300", "--grid-resolution", "5", "sweep", "--catalog", "repS3-1Y"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out == sweep_text(ac.entry("repS3-1Y").branching, 5)
+    footer = "# max_S=1.09861228866811 argmax=0.8|0.2|0.0 bound=1.0986122886681098"
+    assert out.splitlines()[-1] == footer
 
 
 def test_closed_pipe_ends_without_a_traceback():
@@ -495,7 +509,14 @@ def test_catalog_show(capsys):
 def test_catalog_show_unknown_id(capsys):
     code, _, err = run(capsys, "catalog", "show", "bogus")
     assert code == 2
-    assert "error" in err
+    known = ", ".join(e.id for e in ac.catalog())
+    assert err == f"error: unknown catalog entry 'bogus'; known: {known}\n"
+
+
+def test_catalog_id_over_the_cap_is_usage_error(capsys):
+    code, out, err = run(capsys, "entropy", "--catalog", "z2000-full", "--state", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: catalog entry 'z2000-full': N exceeds the cap of {ZN_CAP}\n"
 
 
 def test_output_file_option(capsys, tmp_path):

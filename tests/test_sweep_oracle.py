@@ -1,5 +1,7 @@
 """``sweep`` against the reference grid and writer, byte for byte."""
 
+import tracemalloc
+
 import pytest
 from conftest import CATALOG_IDS
 from reference_sweep import simplex_grid, sweep_text
@@ -50,22 +52,36 @@ def test_sweep_of_one_sector_matches_the_reference(capsys, tmp_path):
         assert sweep(capsys, 5, bits, "--branching", str(path)) == sweep_text(b, 5, bits)
 
 
-def test_a_block_that_straddles_a_batch_is_split(capsys, monkeypatch):
-    # Three parts at resolution 13: blocks of 14, 13, ... points, so with
-    # batches of 7 points the first block fills two and later ones straddle.
-    batches = list(cli._grid_batches(3, 13, 7))
-    assert all(sum(hi - lo for *_, lo, hi in batch) == 7 for batch in batches[:-1])
-    assert sum(len(batch) > 1 and batch[-1][3] <= batch[-1][1] for batch in batches) > 1
-    # Z_2 is one block of 14 points, split across batches of 5.
+def test_every_grid_batch_but_the_last_is_full(capsys, monkeypatch):
+    for parts in range(1, 9):
+        for size in (1, 7, 1024):
+            batches = list(cli._grid(parts, 7, size))
+            assert all(len(counts) == size for counts in batches[:-1])
+            assert 0 < len(batches[-1]) <= size
+            assert all((counts.sum(axis=1) == 7).all() for counts in batches)
+    # Z_2 is one edge of 14 points, split across batches of 5.
     monkeypatch.setattr(cli, "SWEEP_CHUNK", 5)
     b = ac.entry("z2-full").branching
     assert sweep(capsys, 13, False, "--catalog", "z2-full") == sweep_text(b, 13)
 
 
+@pytest.mark.parametrize("parts,resolution", [(2, 9_999_999), (1, 10**9)])
+def test_grid_memory_does_not_grow_with_the_resolution(parts, resolution):
+    # A table of resolution + 1 counts would take 80 MB or 8 GB.
+    tracemalloc.start()
+    try:
+        first = next(cli._grid(parts, resolution, 1024))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first[0].tolist() == [resolution] + [0] * (parts - 1)
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("size", CHUNKS)
 def test_simplex_grid_equals_the_recursive_generator(monkeypatch, size):
     monkeypatch.setattr(cli, "SWEEP_CHUNK", size)
-    for parts in range(1, 7):
+    for parts in range(1, 9):
         for resolution in range(9):
             assert list(sweep_grid(parts, resolution)) == list(
                 simplex_grid(parts, resolution)
