@@ -38,8 +38,7 @@ from .systems import AnyonSystem, validate_system
 GRID_POINT_CAP = 10**7
 # Random states per duality check; each is a row of floats per source label.
 TRIALS_CAP = 10**6
-# Grid points evaluated, and CSV rows written, per step of a sweep; memory
-# stays flat in the grid size.
+# Grid points evaluated, and CSV rows written, per step of a sweep.
 SWEEP_CHUNK = 1024
 
 
@@ -184,12 +183,12 @@ def _grid(parts: int, resolution: int, size: int):
         yield np.column_stack([*columns, left - rank, rank])[:, :parts]
 
 
-def _reprs(x: np.ndarray) -> np.ndarray:
-    # repr of each float, made once per distinct value: S takes few values
-    # on symmetric grids and the residual is mostly 0.0.  Values are told
-    # apart by their bits, so 0.0 and -0.0 keep their own text.
+def _reprs(x: np.ndarray, end: str = "") -> np.ndarray:
+    # repr of each float followed by `end`, made once per distinct value: S
+    # takes few values on symmetric grids and the residual is mostly 0.0.
+    # Values are told apart by their bits, so 0.0 and -0.0 keep their own text.
     keys, inverse = np.unique(x.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+    texts = np.array([repr(v) + end for v in keys.view(np.float64).tolist()], dtype=object)
     return texts[inverse]
 
 
@@ -204,20 +203,22 @@ def cmd_sweep(args) -> int:
         raise UsageError(
             f"grid of {points} points exceeds the cap of {GRID_POINT_CAP}; lower --grid-resolution"
         )
+    if r >= GRID_POINT_CAP:  # one part: a single point, but still r + 1 cells
+        raise UsageError(
+            f"--grid-resolution {r} needs {r + 1} cells, over the cap of {GRID_POINT_CAP}"
+        )
     header = ",".join([f"p_{label}" for label in b.source.labels] + ["S", "bound", "residual"])
     # A batch is SWEEP_CHUNK grid points, computed from their ranks by _grid,
     # evaluated by one order_parameter_rows call and written as one join of an
-    # (N, parts + 3) object array gathered from texts made once: a probability
-    # cell is one of the r + 1 strings repr(k / r) + ",", in the first column
-    # led by the newline that ends the row before; the bound cell
-    # "," + repr(bound) + "," is one constant; S and the residual get one repr
-    # per distinct value of a batch.
+    # (N, parts + 3) object array gathered from texts made once: the r + 1
+    # probability cells repr(k / r) + ",", one table for every column; the
+    # bound cell "," + repr(bound) + ","; one repr per distinct S and residual
+    # of a batch, the residual's ending its row with the newline.
     cells = np.array([repr(k / r) + "," for k in range(r + 1)], dtype=object)
-    first_cells = "\n" + cells
     table = np.empty((SWEEP_CHUNK, parts + 3), dtype=object)
     best, argmax = -1.0, None
     with _output(args) as out:
-        out.write(header)
+        out.write(header + "\n")
         for counts in _grid(parts, r, SWEEP_CHUNK):
             probs = counts / r  # states by construction
             values, _, residuals, bound = order_parameter_rows(b, probs, bits=args.bits)
@@ -225,13 +226,12 @@ def cmd_sweep(args) -> int:
             if values[top] > best:  # strict: the first maximum wins ties
                 best, argmax = float(values[top]), probs[top].tolist()
             rows = table[: len(counts)]
-            rows[:, 0] = first_cells[counts[:, 0]]
-            rows[:, 1:parts] = cells[counts[:, 1:]]
+            rows[:, :parts] = cells[counts]
             rows[:, parts] = _reprs(values)
             rows[:, parts + 1] = f",{bound!r},"
-            rows[:, parts + 2] = _reprs(residuals)
+            rows[:, parts + 2] = _reprs(residuals, end="\n")
             out.write("".join(rows.ravel().tolist()))
-        out.write(f"\n# max_S={best!r} argmax={'|'.join(map(repr, argmax))} bound={bound!r}\n")
+        out.write(f"# max_S={best!r} argmax={'|'.join(map(repr, argmax))} bound={bound!r}\n")
     if best > bound + args.tolerance:
         return 1
     return 0
@@ -245,6 +245,10 @@ def cmd_enumerate(args) -> int:
         source = doc.source if isinstance(doc, BranchingData) else doc
     else:
         raise UsageError("provide --catalog ID or --source FILE")
+    report = validate_system(source, args.tolerance)
+    if not report.ok:
+        _emit_json({"error": "source system is not valid", **report.as_dict()}, args)
+        return 1
     weights = cio.counts_from_text(args.algebra, "--algebra")
     try:
         algebra = CondensableAlgebra(source, tuple(weights))
@@ -403,8 +407,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 2
-    except (UsageError, cio.SchemaError, KeyError, FileNotFoundError, IsADirectoryError,
-            PermissionError) as exc:
+    except (UsageError, cio.SchemaError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its message, quotes and all.
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

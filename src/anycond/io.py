@@ -107,26 +107,7 @@ def reals(values: list, field: str, name_entries: bool = True) -> list[float]:
     error names the entry ``field[i]``, or the list without ``name_entries``."""
     if not isinstance(values, list):
         raise SchemaError(field, "expected a list of numbers")
-
-    def refuse(i: int, exc: ValueError) -> SchemaError:
-        if name_entries:
-            return SchemaError(f"{field}[{i}]", str(exc))
-        return SchemaError(field, f"an entry is {exc}")
-
-    kinds = set(map(type, values))
-    # A finite sum has no infinite or nan term: such a list of floats passes.
-    if kinds == {float} and math.isfinite(sum(values)):
-        return list(values)
     parsed: dict[str, float] = {}
-    if kinds == {str}:
-        # In order of first appearance, so the first bad string is the first
-        # bad entry.
-        for x in dict.fromkeys(values):
-            try:
-                parsed[x] = _real(x)
-            except ValueError as exc:
-                raise refuse(values.index(x), exc) from None
-        return list(map(parsed.__getitem__, values))
     out = []
     for i, x in enumerate(values):
         if isinstance(x, float) and math.isfinite(x):
@@ -137,7 +118,9 @@ def reals(values: list, field: str, name_entries: bool = True) -> list[float]:
             try:
                 out.append(_real(x))
             except ValueError as exc:
-                raise refuse(i, exc) from None
+                if name_entries:
+                    raise SchemaError(f"{field}[{i}]", str(exc)) from None
+                raise SchemaError(field, f"an entry is {exc}") from None
             if isinstance(x, str):
                 parsed[x] = out[-1]
     return out

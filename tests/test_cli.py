@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import contextlib
 import dataclasses
+import errno
 import importlib
 import json
 import math
@@ -54,6 +56,45 @@ def test_validate_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "validate", "/no/such/file.json")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, number",
+    [
+        (["entropy", "--catalog", "toric-1Y", "--state-file", "{file}/x"], errno.ENOTDIR),
+        (["--output", "{file}/x", "catalog", "list"], errno.ENOTDIR),
+        (["--output", "{dir}/" + "a" * 300, "catalog", "list"], errno.ENAMETOOLONG),
+        (["--output", "/dev/full", "catalog", "list"], errno.ENOSPC),
+    ],
+    ids=["state-file-under-a-file", "output-under-a-file", "name-too-long", "output-full"],
+)
+def test_any_os_error_is_one_line_and_exit_2(tmp_path, argv, number):
+    # Not only the missing file, the directory and the denied permission:
+    # these ended in a traceback and exit 1.
+    if "/dev/full" in argv and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    file = tmp_path / "file"
+    file.write_text("{}")
+    code, out, err = run_clean(*(a.format(file=file, dir=tmp_path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: [Errno {number}] ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", [["catalog", "list"], ["catalog", "show", "toric-1Y"]])
+def test_a_full_stdout_is_one_line_and_exit_2(capsys, argv):
+    # The long listing fails in its write, the short entry in the flush of
+    # stdout that ends the command.
+    full = open("/dev/full", "w", encoding="utf-8")
+    try:
+        with contextlib.redirect_stdout(full):
+            code = main(argv)
+    finally:
+        with contextlib.suppress(OSError):  # the text still buffered
+            full.close()
+    assert code == 2
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] No space left on device\n"
 
 
 def test_entropy_golden_value(capsys):
@@ -177,6 +218,24 @@ def test_sweep_grid_cap(capsys):
     code, _, err = run(capsys, "--grid-resolution", "10000000", "sweep", "--catalog", "toric-1Y")
     assert code == 2
     assert "cap" in err
+
+
+def test_sweep_of_one_sector_caps_its_cells(capsys, tmp_path):
+    # One point at any resolution, but r + 1 probability cells: at r = 1e7
+    # they took seconds and 1.4 GB to print one row.
+    system = ac.AnyonSystem(("1",), (1.0,), "1")
+    b = ac.BranchingData(system, system, [[1]])
+    path = tmp_path / "one.json"
+    cio.save(b, path)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--grid-resolution", "10000000", "sweep", "--branching", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: --grid-resolution 10000000 needs 10000001 cells, over the cap of {cli.GRID_POINT_CAP}\n"
+    )
+    code, out, _ = run(capsys, "--grid-resolution", "1000", "sweep", "--branching", str(path))
+    assert (code, out) == (0, sweep_text(b, 1000))
 
 
 def test_sweep_lagrangian_max_attains_bound_at_vertex(capsys, catalog_entry):
@@ -326,6 +385,25 @@ def test_enumerate_bad_algebra_is_usage_error(capsys):
     code, _, err = run(capsys, "enumerate", "--catalog", "toric-1Y", "--algebra", "0,1,0,0")
     assert code == 2
     assert "error" in err
+
+
+def test_enumerate_refuses_an_invalid_source_with_its_report(capsys, tmp_path):
+    # It printed an empty result and exited 0 where validate exits 1.
+    path = tmp_path / "source.json"
+    doc = {"schema_version": 1, "labels": ["1", "a", "b"], "dims": [1, 1, 1], "vacuum": "1",
+           "dual": {"1": "1", "a": "b", "b": "b"}}
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    violations = json.loads(out)[0]["violations"]
+    assert [v["rule"] for v in violations] == ["dual-involution"]
+    # The source is checked before --algebra is read.
+    for algebra in ("1,1,1", "x"):
+        code, out, err = run_clean("enumerate", "--source", str(path), "--algebra", algebra)
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["error"] == "source system is not valid"
+        assert report["ok"] is False and report["violations"] == violations
 
 
 def test_enumerate_names_the_file_field_and_sector_of_a_non_integer_dim(tmp_path):

@@ -403,18 +403,23 @@ def test_enumerate_cli_prints_json_dumps_text(capsys, tmp_path, argv):
 
 def _assert_cli_enumerate_text(source, coefficients, max_sectors, max_dim, directory):
     # enumerate --source, to stdout and to --output, prints json.dumps of
-    # the library's results byte for byte, as the plain list writer does;
+    # the library's results byte for byte, as the plain list writer does, or
+    # exits 1 with the report of a source that validate_system refuses;
     # returns that text.
     algebra = ac.CondensableAlgebra(source, tuple(coefficients))
     results = ac.enumerate_branchings(source, algebra, max_sectors, max_dim)
-    want = _reference_text(results) + "\n"
+    code, want = 0, _reference_text(results) + "\n"
     assert cio.dumps_branchings(results) + "\n" == want
+    report = ac.validate_system(source)
+    if not report.ok:  # the command refuses the source before the search
+        payload = {"error": "source system is not valid", **report.as_dict()}
+        code, want = 1, json.dumps(payload, indent=2) + "\n"
     path, out = Path(directory) / "source.json", Path(directory) / "out.json"
     cio.save(source, path)
     argv = ["enumerate", "--source", str(path), "--algebra", ",".join(map(str, coefficients)),
             "--max-sectors", str(max_sectors), "--max-dim", str(max_dim)]
-    assert run_clean(*argv) == (0, want, "")
-    assert run_clean("--output", str(out), *argv) == (0, "", "")
+    assert run_clean(*argv) == (code, want, "")
+    assert run_clean("--output", str(out), *argv) == (code, "", "")
     assert out.read_text(encoding="utf-8") == want
     return want
 
@@ -513,6 +518,47 @@ def test_state_from_dict_parses_repeated_strings_alike():
     with pytest.raises(cio.SchemaError) as err:
         cio.state_from_dict({"probs": ["1/2", "x", "1/2", "x", 0, 0]}, system)
     assert err.value.field == "probs[1]"
+
+
+class _Real(float):
+    """A float subclass: read as the float it is."""
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.5, 1, "1/4", "1/4", 0.25, " 1e-2 ", 3, "1/4", _Real(0.75)],
+        [0.5, -0.0, 1e308, 1e308, 5e-324],  # finite entries, an infinite sum
+        ["1/3", "2/3", "1/3", "0.125", "1/3"],
+        [],
+    ],
+    ids=["mixed", "floats", "strings", "empty"],
+)
+def test_reals_reads_each_entry_as_a_float(values):
+    got = cio.reals(values, "x")
+    assert got == [x if isinstance(x, float) else float(Fraction(x)) for x in values]
+    assert all(type(x) is type(y) for x, y in zip(got, values) if isinstance(y, float))
+
+
+@pytest.mark.parametrize(
+    "values, first",
+    [
+        ([0.5, "1/2", True, "x", float("nan")], 2),
+        ([0.5, 0.25, float("inf"), float("nan")], 2),
+        (["1/2", "1/2", "x", "1/0", "x"], 2),
+        (["1/2", 0.5, "1/2", None], 3),
+        ([_Real(0.5), _Real("nan")], 1),
+    ],
+    ids=["mixed", "floats", "strings", "none", "float-subclass"],
+)
+def test_reals_names_the_first_bad_entry(values, first):
+    with pytest.raises(cio.SchemaError) as entry:
+        cio.reals(values, "x")
+    assert entry.value.field == f"x[{first}]"
+    with pytest.raises(cio.SchemaError) as whole:
+        cio.reals(values, "x", name_entries=False)
+    assert whole.value.field == "x"
+    assert str(whole.value) == "x: an entry is " + str(entry.value).removeprefix(f"x[{first}]: ")
 
 
 # Decimal exponents up to the bound parse as Fraction parses them; beyond it
