@@ -203,18 +203,17 @@ def cmd_sweep(args) -> int:
         raise UsageError(
             f"grid of {points} points exceeds the cap of {GRID_POINT_CAP}; lower --grid-resolution"
         )
-    if r >= GRID_POINT_CAP:  # one part: a single point, but still r + 1 cells
-        raise UsageError(
-            f"--grid-resolution {r} needs {r + 1} cells, over the cap of {GRID_POINT_CAP}"
-        )
     header = ",".join([f"p_{label}" for label in b.source.labels] + ["S", "bound", "residual"])
     # A batch is SWEEP_CHUNK grid points, computed from their ranks by _grid,
     # evaluated by one order_parameter_rows call and written as one join of an
-    # (N, parts + 3) object array gathered from texts made once: the r + 1
-    # probability cells repr(k / r) + ",", one table for every column; the
-    # bound cell "," + repr(bound) + ","; one repr per distinct S and residual
-    # of a batch, the residual's ending its row with the newline.
-    cells = np.array([repr(k / r) + "," for k in range(r + 1)], dtype=object)
+    # (N, parts + 3) object array of cells.  A probability cell, repr(k / r)
+    # + ",", is made once for all r + 1 counts on three or more parts, where
+    # every batch reuses it and the point cap keeps r at most 4,470; on one or
+    # two parts, where it serves at most two points, each batch makes its own,
+    # so memory stays flat in r.  S and the residual get one repr per distinct
+    # value of a batch, the residual's ending its row with the newline; the
+    # bound cell is "," + repr(bound) + ",".
+    cells = np.array([repr(k / r) + "," for k in range(r + 1)], dtype=object) if parts > 2 else None
     table = np.empty((SWEEP_CHUNK, parts + 3), dtype=object)
     best, argmax = -1.0, None
     with _output(args) as out:
@@ -226,7 +225,8 @@ def cmd_sweep(args) -> int:
             if values[top] > best:  # strict: the first maximum wins ties
                 best, argmax = float(values[top]), probs[top].tolist()
             rows = table[: len(counts)]
-            rows[:, :parts] = cells[counts]
+            rows[:, :parts] = (cells[counts] if parts > 2
+                               else _reprs(probs.ravel(), end=",").reshape(probs.shape))
             rows[:, parts] = _reprs(values)
             rows[:, parts + 1] = f",{bound!r},"
             rows[:, parts + 2] = _reprs(residuals, end="\n")
@@ -400,17 +400,19 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # The reader closed the pipe (``anycond sweep ... | head``).  Point
-        # stdout at devnull so the flush at interpreter exit does not fail
-        # again; see "Note on SIGPIPE" in the documentation of ``signal``.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return 2
     except (UsageError, cio.SchemaError, KeyError, OSError) as exc:
-        # str() of a KeyError is the repr of its message, quotes and all.
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
+        if not isinstance(exc, BrokenPipeError):  # a reader that closed the pipe early
+            # str() of a KeyError is the repr of its message, quotes and all.
+            message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+            print(f"error: {message}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # Stdout itself failed (``sweep ... | head``, a full disk) and keeps
+            # the bytes it could not write; point it at devnull so the flush at
+            # exit does not fail again (see "Note on SIGPIPE" in ``signal``).
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 2
 
 

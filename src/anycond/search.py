@@ -162,8 +162,11 @@ def enumerate_branchings(
     sectors and returned in a deterministic order: by sector count, then by
     (d_1, column 1, d_2, column 2, ...) over the non-vacuum columns.  Raises
     :class:`NonIntegerDimsError` for non-integer dims, ``ValueError`` for
-    bounds below 1.  One sector count's results view one read-only stack.
+    bounds below 1; a source that fails ``validate_system``, checked first,
+    has no results.  One sector count's results view one read-only stack.
     """
+    if not validate_system(source, tol).ok:
+        return []
     results = []
     for block in branching_blocks(source, algebra, max_sectors, max_dim, tol):
         stack = block.rows[block.chosen]
@@ -182,7 +185,8 @@ def branching_blocks(
 ) -> list[Block]:
     """The results of :func:`enumerate_branchings`, in its order, as one
     :class:`Block` per sector count; no ``BranchingData`` is built but to
-    validate results over dims that are integers only within ``tol``."""
+    validate results over dims that are integers only within ``tol``.  The
+    source must be valid: the callers check it once, with ``validate_system``."""
     if algebra.system != source:
         raise ValueError("condensable algebra is defined over a different system")
     if max_sectors < 1 or max_dim < 1:
@@ -194,7 +198,7 @@ def branching_blocks(
             raise NonIntegerDimsError(f"enumeration requires integer dims, within {tol}, "
                                       f"but sector {label!r} has d = {x!r}")
     coeff = algebra.coefficients
-    if not validate_system(source, tol).ok or boson_violations(source, coeff):
+    if boson_violations(source, coeff):
         return []
     vac = source.vacuum_index
     lam = sum(c * di for c, di in zip(coeff, d))

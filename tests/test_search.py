@@ -441,6 +441,9 @@ def test_invalid_source_gives_nothing():
     algebra = ac.CondensableAlgebra(broken, (1, 1, 0, 0))
     assert ac.enumerate_branchings(broken, algebra, 4, 2) == []
     assert labelled_branchings(broken, algebra, 4, 2) == []
+    # The source is checked first, as the enumerate command checks it.
+    assert ac.enumerate_branchings(broken, algebra, 0, 2) == []
+    assert ac.enumerate_branchings(broken, ac.CondensableAlgebra(source, (1, 1, 0, 0)), 4, 2) == []
 
 
 def test_zero_vacuum_dim_gives_nothing():
