@@ -30,7 +30,7 @@ from .channels import (
     round_trip,
     verify_idempotence,
 )
-from .duality import find_dualities, verify_dualities
+from .duality import LABEL_CAP, _labelled, _residuals, _search
 from .entropy import order_parameter, order_parameter_rows
 from .search import NonIntegerDimsError, branching_blocks
 from .systems import AnyonSystem, validate_system
@@ -276,13 +276,18 @@ def cmd_duality(args) -> int:
     if not (_require_valid(bA, args) and _require_valid(bB, args)):
         return 1
     try:
-        found = find_dualities(bA, bB)
+        sigmas, taus = _search(bA, bB, LABEL_CAP)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    residuals = verify_dualities(bA, bB, found, trials=args.trials, seed=args.seed)
+    residuals = _residuals(bA, bB, sigmas, taus, args.trials, args.seed)
+    source, cA, cB = bA.source, bA.condensed, bB.condensed
     payload = {
-        "count": len(found),
-        "dualities": [{**d.as_dict(), "residual": r} for d, r in zip(found, residuals.tolist())],
+        "count": len(sigmas),
+        "dualities": [
+            {"source_perm": _labelled(source, source, s), "condensed_perm": _labelled(cA, cB, t),
+             "residual": r}
+            for s, t, r in zip(sigmas.tolist(), taus.tolist(), residuals.tolist())
+        ],
     }
     _emit_json(payload, args)
     return 0

@@ -16,9 +16,16 @@ maps are kept when both systems declare them.  The search admits only such
 maps and the check refuses every other, both by :func:`_relabelling_rule`,
 so every duality found passes it.  The data it reads live in one place,
 each system's sector table (see :class:`~anycond.systems.AnyonSystem`).
-The search backtracks over sigma alone: tau(t) may then only be a
-condensed label whose column of n_B is column t of n_A read through sigma,
-so tau is derived rather than searched.
+The search grows sigma one source label at a time, every partial sigma at
+once as one array frontier in lexicographic order.  A source label goes only
+where its row of n_B equals its image's row of n_A as a multiset, and a
+partial sigma stays only while the partial columns of n_A it reads (the rows
+placed so far) equal those of n_B as a multiset: colour refinement on the
+bipartite graph of n, compared through hashed column keys that can keep
+extra sigma but never drop one.  Then tau(t) may only be a condensed label
+whose column of n_B is column t of n_A read through sigma; the taus of every
+sigma grow as a second frontier of the same kind.  The result keeps the
+order of a depth-first search: by sigma, then tau.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import search
 from .branching import BranchingData, jones_index
 from .channels import SectorState, _channel_output, condensation
 from .systems import DEFAULT_TOL, AnyonSystem
@@ -119,15 +127,25 @@ def verify_dualities(
         raise ValueError("dualities compare branchings of one source system")
     source, cA, cB = bA.source, bA.condensed, bB.condensed
     sigma_fault, tau_fault = _relabelling_rule(source, source), _relabelling_rule(cA, cB)
-    moves, taus = [], []
+    sigmas, taus = [], []
     for d in dualities:
-        sigma = _positions(d.source_perm, source, source, "source_perm", sigma_fault)
-        # sigma moves the weight of a to b = sigma(a), so the gather reads b from a.
-        moves.append(sorted(range(len(source)), key=sigma.__getitem__))
+        sigmas.append(_positions(d.source_perm, source, source, "source_perm", sigma_fault))
         taus.append(_positions(d.condensed_perm, cA, cB, "condensed_perm", tau_fault))
-    if not dualities:
+    return _residuals(bA, bB, np.array(sigmas, dtype=np.intp), np.array(taus, dtype=np.intp),
+                      trials, seed)
+
+
+def _residuals(bA: BranchingData, bB: BranchingData, sigmas: np.ndarray, taus: np.ndarray,
+               trials: int, seed: int) -> np.ndarray:
+    """:func:`verify_dualities` on position arrays that keep the rule, as
+    :func:`_search` returns them: ``sigmas[r, a]`` is the source position of
+    sigma(a), ``taus[r, t]`` the position in ``bB.condensed`` of tau(t)."""
+    if not len(sigmas):
         return np.empty(0)
-    moves, taus = np.array(moves), np.array(taus)
+    source, cA = bA.source, bA.condensed
+    # sigma moves the weight of a to b = sigma(a), so the gather reads b from a.
+    moves = np.empty_like(sigmas)
+    np.put_along_axis(moves, sigmas, np.arange(len(source)), axis=1)
     # n_B[a, tau(t)] - n_A[sigma(a), t] over every (a, t), per duality, read at b = sigma(a).
     gaps = np.abs(bB.n[moves[:, :, None], taus[:, None, :]] - bA.n).max(axis=(1, 2)).astype(float)
     if trials == 0:
@@ -136,7 +154,7 @@ def verify_dualities(
     rho = raw / raw.sum(axis=1, keepdims=True)
     lhs = condensation(bB).restrict(rho)
     per_block = max(1, VERIFY_BLOCK_ROWS // trials)
-    for lo in range(0, len(dualities), per_block):
+    for lo in range(0, len(sigmas), per_block):
         block = slice(lo, lo + per_block)
         # take keeps C order; rho[:, index] is Fortran order, rounded otherwise.
         moved = rho.take(moves[block].ravel(), axis=1).reshape(-1, len(source))
@@ -179,46 +197,115 @@ def _relabelling_rule(domain: AnyonSystem, codomain: AnyonSystem):
 def _label_constraints(domain: AnyonSystem, codomain: AnyonSystem):
     """The sector data a label bijection domain -> codomain must keep.
 
-    Per domain index: the codomain indices the :func:`_relabelling_rule`
-    lets it map to, and the pairs (k, dual(k)) whose images are both known
-    once that index is placed, none unless both systems declare duals.
-    Last, the codomain's antiparticle positions.
+    A boolean matrix of the (domain, codomain) index pairs the
+    :func:`_relabelling_rule` allows; per domain index, the pairs
+    (k, dual(k)) whose images are both known once that index is placed,
+    none unless both systems declare duals; last, the codomain's
+    antiparticle positions as an array, or None.
     """
     fault = _relabelling_rule(domain, codomain)
-    allowed = [
-        [j for j in range(len(codomain)) if fault(i, j) is None] for i in range(len(domain))
-    ]
+    allowed = np.array(
+        [[fault(i, j) is None for j in range(len(codomain))] for i in range(len(domain))], dtype=bool
+    )
     checks = [[] for _ in domain.labels]
+    cod_dual = None
     if domain.antiparticles is not None and codomain.antiparticles is not None:
         for k, kbar in enumerate(domain.antiparticles):
             checks[max(k, kbar)].append((k, kbar))
-    return allowed, checks, codomain.antiparticles
+        cod_dual = np.array(codomain.antiparticles, dtype=np.intp)
+    return allowed, checks, cod_dual
 
 
-def _bijections(constraints, fits):
-    """Label bijections that keep ``constraints`` (see
-    :func:`_label_constraints`) and map each i to a j with ``fits(i, j)``,
-    as image tuples in lexicographic order.  Backtracks label by label and
-    checks each antiparticle pair as soon as both of its images are placed."""
-    candidates, checks, cod_dual = constraints
-    allowed = [[j for j in cands if fits(i, j)] for i, cands in enumerate(candidates)]
-    image = [0] * len(allowed)
-    used = set()
+def _extend(images, used, allowed, pairs, cod_dual):
+    """One step of a frontier of partial label bijections: each row of
+    ``images`` (with its ``used`` codomain indices) extended by every image
+    of the next domain label that ``allowed`` admits and the row has not
+    used.  ``allowed`` is one boolean row shared by every entry, or one row
+    per entry.  The extensions come out in row-major order, entry then
+    image, which keeps the frontier in lexicographic order; those that break
+    an antiparticle pair (k, kbar) of ``pairs`` are dropped.  Returns the
+    entry each kept extension grew from, and the new ``images`` and ``used``.
+    """
+    entry, image = np.nonzero(allowed & ~used)
+    images = np.column_stack((images[entry], image))
+    used = used[entry]
+    used[np.arange(len(entry)), image] = True
+    if pairs:
+        keep = np.logical_and.reduce([images[:, kbar] == cod_dual[images[:, k]] for k, kbar in pairs])
+        entry, images, used = entry[keep], images[keep], used[keep]
+    return entry, images, used
 
-    def place(i):
-        if i == len(allowed):
-            yield tuple(image)
-            return
-        for j in allowed[i]:
-            if j in used:
-                continue
-            image[i] = j
-            if all(image[kbar] == cod_dual[image[k]] for k, kbar in checks[i]):
-                used.add(j)
-                yield from place(i + 1)
-                used.discard(j)
 
-    return place(0)
+# The default label cap of find_dualities and of the duality command.
+LABEL_CAP = 8
+# Each column key of the sigma search is updated row by row as
+# key * KEY_MULTIPLIER + entry in wrapping int64, so that two columns that
+# differ rarely share a key; equal columns always do.
+KEY_MULTIPLIER = 0x5851F42D4C957F2D
+
+
+def _sigmas(nA: np.ndarray, nB: np.ndarray, constraints) -> np.ndarray:
+    """Every sigma, as an (S, m) array of image tuples in lexicographic
+    order, that keeps ``constraints`` and maps each row i of ``nB`` to a row
+    sigma(i) of ``nA`` with the same multiset of entries, and under which
+    the columns of ``nA`` read through sigma are those of ``nB`` as a
+    multiset.  That last test runs after every row on the partial columns'
+    keys; keys that collide can only keep extra sigma."""
+    allowed, checks, cod_dual = constraints
+    rows_a, rows_b = np.sort(nA, axis=1), np.sort(nB, axis=1)
+    allowed = allowed & (rows_b[:, None] == rows_a[None]).all(axis=2)
+    images = np.empty((1, 0), dtype=np.intp)
+    used = np.zeros((1, len(nA)), dtype=bool)
+    keys_a = np.zeros((1, nA.shape[1]), dtype=np.int64)
+    keys_b = np.zeros(nB.shape[1], dtype=np.int64)
+    for i in range(len(nA)):
+        entry, images, used = _extend(images, used, allowed[i], checks[i], cod_dual)
+        keys_a = keys_a[entry] * KEY_MULTIPLIER + nA[images[:, i]]
+        keys_b = keys_b * KEY_MULTIPLIER + nB[i]
+        keep = (np.sort(keys_a, axis=1) == np.sort(keys_b)).all(axis=1)
+        images, used, keys_a = images[keep], used[keep], keys_a[keep]
+    return images
+
+
+def _taus(nA: np.ndarray, nB: np.ndarray, sigmas: np.ndarray, constraints):
+    """Every tau for each of ``sigmas`` that keeps ``constraints`` and maps
+    each column t of ``nA``, read through sigma, to an equal column tau(t)
+    of ``nB``: the (sigma, tau) pairs as two arrays, by sigma then tau.
+    The sigmas go in blocks whose column comparison holds at most
+    ``search.FILL_CHUNK`` cells."""
+    allowed, checks, cod_dual = constraints
+    m, k = nA.shape
+    per = max(1, search.FILL_CHUNK // (m * k * k))
+    out_sigmas, out_taus = [sigmas[:0]], [np.empty((0, k), dtype=np.intp)]
+    for lo in range(0, len(sigmas), per):
+        block = sigmas[lo : lo + per]
+        # fits[s, t, u]: column t of nA read through sigma s is column u of nB.
+        fits = (nA[block][..., None] == nB[:, None]).all(axis=1) & allowed
+        owner = np.arange(len(block))
+        images = np.empty((len(block), 0), dtype=np.intp)
+        used = np.zeros((len(block), k), dtype=bool)
+        for t in range(k):
+            entry, images, used = _extend(images, used, fits[owner, t], checks[t], cod_dual)
+            owner = owner[entry]
+        out_sigmas.append(block[owner])
+        out_taus.append(images)
+    return np.concatenate(out_sigmas), np.concatenate(out_taus)
+
+
+def _search(bA: BranchingData, bB: BranchingData, label_cap: int):
+    """The dualities of :func:`find_dualities` as position arrays in its
+    order: ``sigmas[r, a]`` is the source position of sigma(a) and
+    ``taus[r, t]`` the position in ``bB.condensed`` of tau(t)."""
+    if bA.source != bB.source:
+        raise ValueError("dualities compare branchings of one source system")
+    for system in (bA.source, bA.condensed, bB.condensed):
+        if len(system) > label_cap:
+            raise ValueError(f"{len(system)} labels exceed the search cap {label_cap}")
+    source, cA, cB = bA.source, bA.condensed, bB.condensed
+    if abs(jones_index(bA) - jones_index(bB)) > DEFAULT_TOL or len(cA) != len(cB):
+        return np.empty((0, len(source)), dtype=np.intp), np.empty((0, len(cA)), dtype=np.intp)
+    sigmas = _sigmas(bA.n, bB.n, _label_constraints(source, source))
+    return _taus(bA.n, bB.n, sigmas, _label_constraints(cA, cB))
 
 
 def _labelled(domain: AnyonSystem, codomain: AnyonSystem, image) -> dict[str, str]:
@@ -230,39 +317,25 @@ def _labelled(domain: AnyonSystem, codomain: AnyonSystem, image) -> dict[str, st
 def find_dualities(
     bA: BranchingData,
     bB: BranchingData,
-    label_cap: int = 8,
+    label_cap: int = LABEL_CAP,
 ) -> list[PermutationDuality]:
     """All permutation dualities between two branchings of one source.
 
-    Backtracks over source permutations sigma whose every source label a
-    keeps its sector data and has a row of ``n_B`` equal, as a multiset, to
-    row sigma(a) of ``n_A``.  For each such sigma, tau(t) may only be a
-    condensed label whose column of ``n_B`` is column t of ``n_A`` read
-    through sigma, so every pair found satisfies the coefficient identity
-    exactly.  The result is ordered by sigma, then tau, each
-    lexicographically by its image tuple.  Raises when the source systems
-    differ or a label count exceeds ``label_cap``.
+    Grows every admissible source permutation sigma one label at a time, as
+    one array frontier: source label a may go only where it keeps its
+    sector data and where row sigma(a) of ``n_A`` equals row a of ``n_B``
+    as a multiset, and a partial sigma stays only while the columns of
+    ``n_A`` on the rows placed so far, read through it, are those of ``n_B``
+    as a multiset.  For each sigma, tau(t) may only be a condensed label
+    whose column of ``n_B`` is column t of ``n_A`` read through sigma; the
+    taus of every sigma grow as a second frontier.  So every pair found
+    satisfies the coefficient identity exactly.  The result is ordered by
+    sigma, then tau, each lexicographically by its image tuple.  Raises
+    when the source systems differ or a label count exceeds ``label_cap``.
     """
-    if bA.source != bB.source:
-        raise ValueError("dualities compare branchings of one source system")
-    for system in (bA.source, bA.condensed, bB.condensed):
-        if len(system) > label_cap:
-            raise ValueError(f"{len(system)} labels exceed the search cap {label_cap}")
-    if abs(jones_index(bA) - jones_index(bB)) > DEFAULT_TOL:
-        return []
     source, cA, cB = bA.source, bA.condensed, bB.condensed
-    if len(cA) != len(cB):
-        return []
-
-    rows_a = [sorted(row) for row in bA.n.tolist()]
-    rows_b = [sorted(row) for row in bB.n.tolist()]
-    cols_a, cols_b = bA.n.T.tolist(), bB.n.T.tolist()
-    tau_constraints = _label_constraints(cA, cB)
-
-    out = []
-    sigma_constraints = _label_constraints(source, source)
-    for sigma in _bijections(sigma_constraints, lambda i, c: rows_a[c] == rows_b[i]):
-        moved = [[col[s] for s in sigma] for col in cols_a]
-        for tau in _bijections(tau_constraints, lambda t, u: cols_b[u] == moved[t]):
-            out.append(PermutationDuality(_labelled(source, source, sigma), _labelled(cA, cB, tau)))
-    return out
+    sigmas, taus = _search(bA, bB, label_cap)
+    return [
+        PermutationDuality(_labelled(source, source, sigma), _labelled(cA, cB, tau))
+        for sigma, tau in zip(sigmas.tolist(), taus.tolist())
+    ]

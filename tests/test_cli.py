@@ -605,7 +605,7 @@ def test_every_numeric_flag_refuses_a_bad_value(capsys, argv):
 @pytest.mark.parametrize("trials", [str(cli.TRIALS_CAP + 1), "1000000000000", "10" + "0" * 400])
 def test_duality_trials_beyond_the_cap_is_usage_error(capsys, monkeypatch, trials):
     # Refused by the parser, before any state is drawn.
-    monkeypatch.setattr(cli, "verify_dualities", None)
+    monkeypatch.setattr(cli, "_residuals", None)
     with pytest.raises(SystemExit) as info:
         main(["duality", "--catalog-a", "toric-1Y", "--catalog-b", "toric-1Z", "--trials", trials])
     assert info.value.code == 2
@@ -615,11 +615,11 @@ def test_duality_trials_beyond_the_cap_is_usage_error(capsys, monkeypatch, trial
 def test_duality_trials_at_the_cap_is_accepted(capsys, monkeypatch):
     seen = []
 
-    def record(bA, bB, found, trials, seed):
+    def record(bA, bB, sigmas, taus, trials, seed):
         seen.append(trials)
-        return np.zeros(len(found))
+        return np.zeros(len(sigmas))
 
-    monkeypatch.setattr(cli, "verify_dualities", record)
+    monkeypatch.setattr(cli, "_residuals", record)
     args = ["duality", "--catalog-a", "toric-1Y", "--catalog-b", "toric-1Z"]
     assert main(args + ["--trials", str(cli.TRIALS_CAP)]) == 0
     assert seen == [10**6]

@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import anycond as ac
 from anycond.catalog import zn_system
+from anycond import duality, search
 from anycond.duality import VERIFY_BLOCK_ROWS, verify_dualities
+from backtracking_dualities import backtracking_dualities
 from bruteforce_dualities import admissible_maps, brute_force_dualities, coefficient_residual
 
 
@@ -255,13 +257,16 @@ PLANTED = _planted_cases()
 @pytest.mark.parametrize("id_a,id_b", CATALOG_PAIRS)
 def test_search_matches_the_oracle_on_catalog_pairs(id_a, id_b):
     bA, bB = ac.entry(id_a).branching, ac.entry(id_b).branching
-    assert _as_pairs(ac.find_dualities(bA, bB)) == _oracle(bA, bB)
+    found = _as_pairs(ac.find_dualities(bA, bB))
+    assert found == _oracle(bA, bB)
+    assert found == _as_pairs(backtracking_dualities(bA, bB))
 
 
 @pytest.mark.parametrize("bA,bB,sigma,tau", PLANTED)
 def test_search_matches_the_oracle_on_planted_relabellings(bA, bB, sigma, tau):
     found = ac.find_dualities(bA, bB)
     assert _as_pairs(found) == _oracle(bA, bB)
+    assert _as_pairs(found) == _as_pairs(backtracking_dualities(bA, bB))
     assert ac.PermutationDuality(sigma, tau) in found
 
 
@@ -294,6 +299,11 @@ def relabellings(draw):
         b = ac.BranchingData(
             _strip(b.source, keep_dual, keep_twist), _strip(b.condensed, keep_dual, keep_twist), b.n
         )
+    return _relabelled(draw, b)
+
+
+def _relabelled(draw, b):
+    """b, and b relabelled by a drawn vacuum-fixing (sigma, tau)."""
 
     def relabelling(system):
         rest = [l for l in system.labels if l != system.vacuum]
@@ -344,6 +354,106 @@ def test_seven_plain_labels_give_720_dualities():
     assert images == sorted(set(images))
     assert all(d.condensed_perm == d.inverse().source_perm for d in found)
     assert max(ac.verify_duality(b, b, d, trials=20) for d in found) == 0.0
+
+
+# --- the frontier search against the backtracking search it replaced --------
+
+
+def _plain_condensing(n, condensed):
+    """The last branching of the plain n-label source whose algebra holds
+    its first ``condensed`` sectors, each condensed sector of dimension 1."""
+    source = _plain([str(i) for i in range(n)], (1.0,) * n)
+    algebra = ac.CondensableAlgebra(source, (1,) * condensed + (0,) * (n - condensed))
+    return ac.enumerate_branchings(source, algebra, max_sectors=n, max_dim=1)[-1]
+
+
+def test_nine_plain_labels_match_the_backtracking_reference():
+    # The reference completes all 8! sigma here; 144 keep the column blocks.
+    b = _plain_condensing(9, 3)
+    found = _as_pairs(ac.find_dualities(b, b, label_cap=9))
+    assert len(found) == 144
+    assert found == _as_pairs(backtracking_dualities(b, b, label_cap=9))
+
+
+# Sources of up to 8 labels, all declaring duals and twists, so that
+# antiparticle pairs prune both frontiers; the reference's cost follows the
+# sigma it completes, so these reach past the exhaustive oracle's sizes.
+DECLARED_IDS = (
+    "toric-1Y", "toric-1Z", "toric-trivial", "repS3-1X", "repS3-1Y", "repS3-trivial",
+    "z6-full", "z6-trivial", "z7-trivial", "z8-full", "z8-trivial",
+)
+
+
+@st.composite
+def declared_relabellings(draw):
+    return _relabelled(draw, _branching(draw(st.sampled_from(DECLARED_IDS))))
+
+
+@given(pair=declared_relabellings())
+@settings(max_examples=100, deadline=None)
+def test_search_matches_the_backtracking_reference_on_declared_relabellings(pair):
+    bA, bB = pair
+    for a, b in ((bA, bB), (bB, bA)):
+        assert _as_pairs(ac.find_dualities(a, b)) == _as_pairs(backtracking_dualities(a, b))
+
+
+@pytest.mark.parametrize("n,count", [(8, 48), (10, 384), (12, 3840)])
+def test_plain_sources_condensing_two_sectors_at_scale(n, count):
+    b = _plain_condensing(n, 2)
+    found = ac.find_dualities(b, b, label_cap=12)
+    assert len(found) == count
+    assert not verify_dualities(b, b, found).any()
+    images = [
+        (tuple(b.source.index(d.source_perm[a]) for a in b.source.labels),
+         tuple(b.condensed.index(d.condensed_perm[t]) for t in b.condensed.labels))
+        for d in found
+    ]
+    assert images == sorted(set(images))
+
+
+def _sigmas_kept(monkeypatch):
+    """Record how many sigma reach the tau stage in each search."""
+    kept, taus = [], duality._taus
+
+    def record(nA, nB, sigmas, constraints):
+        kept.append(len(sigmas))
+        return taus(nA, nB, sigmas, constraints)
+
+    monkeypatch.setattr(duality, "_taus", record)
+    return kept
+
+
+def _pruned_cases():
+    return [case.values[:2] for case in PLANTED] + [
+        (b, b) for b in (_plain_condensing(8, 2), _plain_condensing(9, 3))
+    ]
+
+
+@pytest.mark.parametrize("multiplier", [0, 1])
+def test_colliding_column_keys_find_the_same_dualities(monkeypatch, multiplier):
+    # Multiplier 0 keys a column by its last placed entry, 1 by its sum.
+    cases = _pruned_cases()
+    kept = _sigmas_kept(monkeypatch)
+    want = [_as_pairs(ac.find_dualities(bA, bB, label_cap=9)) for bA, bB in cases]
+    exact, kept[:] = list(kept), []
+    monkeypatch.setattr(duality, "KEY_MULTIPLIER", multiplier)
+    assert [_as_pairs(ac.find_dualities(bA, bB, label_cap=9)) for bA, bB in cases] == want
+    # Weaker keys keep at least as many sigma, and more somewhere.
+    assert all(weak >= strong for weak, strong in zip(kept, exact)) and kept != exact
+
+
+def test_the_tau_stage_spans_many_blocks(monkeypatch):
+    # As in the many-block check below: tau relabels, and every sigma of
+    # seven plain labels is one block when each block may hold one cell.
+    plain = ac.AnyonSystem(tuple(str(i) for i in range(7)), (1.0,) * 7, "0")
+    b = ac.trivial_condensation(plain)
+    rest = plain.labels[1:]
+    bB = plant(b, {l: l for l in plain.labels}, {"0": "0", **dict(zip(rest, rest[::-1]))})
+    cases = _pruned_cases() + [(b, bB), (bB, b)]
+    want = [_as_pairs(ac.find_dualities(bA, bB, label_cap=9)) for bA, bB in cases]
+    assert len(want[-1]) == 720
+    monkeypatch.setattr(search, "FILL_CHUNK", 1)
+    assert [_as_pairs(ac.find_dualities(bA, bB, label_cap=9)) for bA, bB in cases] == want
 
 
 # --- every found duality checked on one stack of states -----------------------
