@@ -393,8 +393,8 @@ def main(argv=None) -> int:
         parser.error("--tolerance must be positive and finite")
     if not 0 <= args.seed < 2**63:
         parser.error("--seed must be an integer in [0, 2**63)")
-    if args.grid_resolution < 1:
-        parser.error("--grid-resolution must be at least 1")
+    if not 1 <= args.grid_resolution < 2**63:
+        parser.error("--grid-resolution must be an integer in [1, 2**63)")
     if args.command == "duality" and args.trials < 0:
         parser.error("--trials must be non-negative")
     if args.command == "duality" and args.trials > TRIALS_CAP:

@@ -12,10 +12,11 @@ restrict_B(rho) = tau( restrict_A(sigma(rho)) ) for every state, which
 
 One rule says which relabellings count: the vacuum is fixed, quantum
 dimensions agree within ``DEFAULT_TOL`` (1e-9), and twists and antiparticle
-maps are kept when both systems declare them.  The search admits only such
-maps and the check refuses every other, both by :func:`_relabelling_rule`,
-so every duality found passes it.  The data it reads live in one place,
-each system's sector table (see :class:`~anycond.systems.AnyonSystem`).
+maps are kept when both systems declare them.  :func:`_relabelling_rule`
+holds it as data, one integer matrix over every pair of sectors with the
+antiparticle pairs, built from each system's sector table (see
+:class:`~anycond.systems.AnyonSystem`).  The search admits only the pairs
+it keeps and the check refuses every other, so every duality found passes.
 The search grows sigma one source label at a time, every partial sigma at
 once as one array frontier in lexicographic order.  A source label goes only
 where its row of n_B equals its image's row of n_A as a multiset, and a
@@ -62,17 +63,15 @@ class PermutationDuality:
             {v: k for k, v in self.condensed_perm.items()},
         )
 
-    def as_dict(self) -> dict:
-        return {"source_perm": dict(self.source_perm), "condensed_perm": dict(self.condensed_perm)}
-
 
 def _positions(perm: Mapping[str, str], domain: AnyonSystem, codomain: AnyonSystem, what: str,
-               fault):
+               rule):
     """The codomain position of each domain label's image, in domain label
-    order.  Raises unless ``perm`` maps the labels bijectively and keeps the
-    rule: ``fault``, the :func:`_relabelling_rule` of the two systems, and
-    the antiparticle pairs.  The first changed dimension or twist is named in
-    the map's own order, the first broken pair by its first domain label."""
+    order.  Raises unless ``perm`` maps the labels bijectively and keeps
+    ``rule``, the :func:`_relabelling_rule` of the two systems.  The first
+    changed dimension or twist is named in the map's own order, the first
+    broken antiparticle pair by its first domain label."""
+    fault, _, cod_dual = rule
     index_a, index_b = domain._position, codomain._position
     if perm.keys() != index_a.keys() or index_b.keys() != set(perm.values()):
         raise ValueError(f"{what} must map the labels bijectively")
@@ -83,16 +82,14 @@ def _positions(perm: Mapping[str, str], domain: AnyonSystem, codomain: AnyonSyst
         i, j = index_a[a], index_b[image]
         # With the vacuum fixed, a bijection cannot move it: only a
         # dimension or a twist can change here.
-        change = fault(i, j)
-        if change is not None:
-            raise ValueError(f"{what} does not preserve the {change} of {a!r}")
+        change = fault[i, j]
+        if change:
+            raise ValueError(f"{what} does not preserve the {FAULTS[change]} of {a!r}")
         at[i] = j
-    dom_dual, cod_dual = domain.antiparticles, codomain.antiparticles
-    if dom_dual is not None and cod_dual is not None:
-        for k, kbar in enumerate(dom_dual):
+    if cod_dual is not None:
+        for k, kbar in enumerate(domain.antiparticles):
             if at[kbar] != cod_dual[at[k]]:
-                label = domain.labels[k]
-                raise ValueError(f"{what} does not preserve the antiparticle of {label!r}")
+                raise ValueError(f"{what} does not preserve the antiparticle of {domain.labels[k]!r}")
     return at
 
 
@@ -100,9 +97,9 @@ def apply_permutation(duality: PermutationDuality, rho: SectorState) -> SectorSt
     """Reindex a state by the source permutation: the new weight of
     sigma(a) is the old weight of a."""
     system = rho.system
-    fault = _relabelling_rule(system, system)
+    rule = _relabelling_rule(system, system)
     out = np.empty_like(rho.probs)
-    out[_positions(duality.source_perm, system, system, "source_perm", fault)] = rho.probs
+    out[_positions(duality.source_perm, system, system, "source_perm", rule)] = rho.probs
     return _channel_output(system, out)
 
 
@@ -126,11 +123,11 @@ def verify_dualities(
     if bA.source != bB.source:
         raise ValueError("dualities compare branchings of one source system")
     source, cA, cB = bA.source, bA.condensed, bB.condensed
-    sigma_fault, tau_fault = _relabelling_rule(source, source), _relabelling_rule(cA, cB)
+    sigma_rule, tau_rule = _relabelling_rule(source, source), _relabelling_rule(cA, cB)
     sigmas, taus = [], []
     for d in dualities:
-        sigmas.append(_positions(d.source_perm, source, source, "source_perm", sigma_fault))
-        taus.append(_positions(d.condensed_perm, cA, cB, "condensed_perm", tau_fault))
+        sigmas.append(_positions(d.source_perm, source, source, "source_perm", sigma_rule))
+        taus.append(_positions(d.condensed_perm, cA, cB, "condensed_perm", tau_rule))
     return _residuals(bA, bB, np.array(sigmas, dtype=np.intp), np.array(taus, dtype=np.intp),
                       trials, seed)
 
@@ -170,50 +167,37 @@ def verify_duality(
     return float(verify_dualities(bA, bB, [duality], trials, seed)[0])
 
 
+FAULTS = (None, "vacuum", "dimension", "twist")
+
+
 def _relabelling_rule(domain: AnyonSystem, codomain: AnyonSystem):
-    """The one rule a label bijection domain -> codomain must keep, sector by
-    sector, as ``fault(i, j)``: what relabelling domain sector i as codomain
-    sector j changes, ``"vacuum"``, ``"dimension"`` (beyond ``DEFAULT_TOL``)
-    or ``"twist"`` (when both systems declare twists); None when it is kept.
-    Its callers check the rest of the rule, the antiparticle pairs when both
-    systems declare duals, from each system's ``antiparticles``."""
-    vac_a, vac_b = domain.vacuum_index, codomain.vacuum_index
-    dims_a, dims_b = domain.dims, codomain.dims
-    twists_a, twists_b = domain.twist_ratios, codomain.twist_ratios
-    twists = twists_a is not None and twists_b is not None
-
-    def fault(i: int, j: int):
-        if (i == vac_a) != (j == vac_b):
-            return "vacuum"
-        if not abs(dims_a[i] - dims_b[j]) <= DEFAULT_TOL:  # a nan dimension is never kept
-            return "dimension"
-        if twists and twists_a[i] != twists_b[j]:
-            return "twist"
-        return None
-
-    return fault
-
-
-def _label_constraints(domain: AnyonSystem, codomain: AnyonSystem):
-    """The sector data a label bijection domain -> codomain must keep.
-
-    A boolean matrix of the (domain, codomain) index pairs the
-    :func:`_relabelling_rule` allows; per domain index, the pairs
-    (k, dual(k)) whose images are both known once that index is placed,
-    none unless both systems declare duals; last, the codomain's
-    antiparticle positions as an array, or None.
-    """
-    fault = _relabelling_rule(domain, codomain)
-    allowed = np.array(
-        [[fault(i, j) is None for j in range(len(codomain))] for i in range(len(domain))], dtype=bool
-    )
-    checks = [[] for _ in domain.labels]
+    """The one rule a label bijection domain -> codomain must keep, as
+    ``(fault, pairs, cod_dual)``.  ``fault[i, j]`` is the index in ``FAULTS``
+    of what relabelling domain sector i as codomain sector j changes: 0 when
+    it is kept, else the first of the vacuum, the dimension (beyond
+    ``DEFAULT_TOL``; a nan dimension is never kept) and the twist (when both
+    systems declare twists).  When both systems declare duals, antiparticle
+    pairs are kept too: ``pairs[i]`` lists the pairs (k, dual(k)) whose
+    images are both known once domain index i is placed, and ``cod_dual`` is
+    the codomain's antiparticle positions as an array; otherwise the lists
+    are empty and ``cod_dual`` is None."""
+    vacuum = (np.arange(len(domain)) == domain.vacuum_index)[:, None] != (
+        np.arange(len(codomain)) == codomain.vacuum_index)
+    dimension = ~(np.abs(domain.dim_array[:, None] - codomain.dim_array) <= DEFAULT_TOL)
+    twist = False
+    if domain.twist_ratios is not None and codomain.twist_ratios is not None:
+        classes = {}
+        ids_a, ids_b = (np.array([classes.setdefault(r, len(classes)) for r in system.twist_ratios])
+                        for system in (domain, codomain))
+        twist = ids_a[:, None] != ids_b
+    fault = np.where(vacuum, 1, np.where(dimension, 2, 3 * twist))
+    pairs = [[] for _ in domain.labels]
     cod_dual = None
     if domain.antiparticles is not None and codomain.antiparticles is not None:
         for k, kbar in enumerate(domain.antiparticles):
-            checks[max(k, kbar)].append((k, kbar))
+            pairs[max(k, kbar)].append((k, kbar))
         cod_dual = np.array(codomain.antiparticles, dtype=np.intp)
-    return allowed, checks, cod_dual
+    return fault, pairs, cod_dual
 
 
 def _extend(images, used, allowed, pairs, cod_dual):
@@ -244,22 +228,22 @@ LABEL_CAP = 8
 KEY_MULTIPLIER = 0x5851F42D4C957F2D
 
 
-def _sigmas(nA: np.ndarray, nB: np.ndarray, constraints) -> np.ndarray:
+def _sigmas(nA: np.ndarray, nB: np.ndarray, rule) -> np.ndarray:
     """Every sigma, as an (S, m) array of image tuples in lexicographic
-    order, that keeps ``constraints`` and maps each row i of ``nB`` to a row
+    order, that keeps ``rule`` and maps each row i of ``nB`` to a row
     sigma(i) of ``nA`` with the same multiset of entries, and under which
     the columns of ``nA`` read through sigma are those of ``nB`` as a
     multiset.  That last test runs after every row on the partial columns'
     keys; keys that collide can only keep extra sigma."""
-    allowed, checks, cod_dual = constraints
+    fault, pairs, cod_dual = rule
     rows_a, rows_b = np.sort(nA, axis=1), np.sort(nB, axis=1)
-    allowed = allowed & (rows_b[:, None] == rows_a[None]).all(axis=2)
+    allowed = (fault == 0) & (rows_b[:, None] == rows_a[None]).all(axis=2)
     images = np.empty((1, 0), dtype=np.intp)
     used = np.zeros((1, len(nA)), dtype=bool)
     keys_a = np.zeros((1, nA.shape[1]), dtype=np.int64)
     keys_b = np.zeros(nB.shape[1], dtype=np.int64)
     for i in range(len(nA)):
-        entry, images, used = _extend(images, used, allowed[i], checks[i], cod_dual)
+        entry, images, used = _extend(images, used, allowed[i], pairs[i], cod_dual)
         keys_a = keys_a[entry] * KEY_MULTIPLIER + nA[images[:, i]]
         keys_b = keys_b * KEY_MULTIPLIER + nB[i]
         keep = (np.sort(keys_a, axis=1) == np.sort(keys_b)).all(axis=1)
@@ -267,25 +251,25 @@ def _sigmas(nA: np.ndarray, nB: np.ndarray, constraints) -> np.ndarray:
     return images
 
 
-def _taus(nA: np.ndarray, nB: np.ndarray, sigmas: np.ndarray, constraints):
-    """Every tau for each of ``sigmas`` that keeps ``constraints`` and maps
+def _taus(nA: np.ndarray, nB: np.ndarray, sigmas: np.ndarray, rule):
+    """Every tau for each of ``sigmas`` that keeps ``rule`` and maps
     each column t of ``nA``, read through sigma, to an equal column tau(t)
     of ``nB``: the (sigma, tau) pairs as two arrays, by sigma then tau.
     The sigmas go in blocks whose column comparison holds at most
     ``search.FILL_CHUNK`` cells."""
-    allowed, checks, cod_dual = constraints
+    fault, pairs, cod_dual = rule
     m, k = nA.shape
     per = max(1, search.FILL_CHUNK // (m * k * k))
     out_sigmas, out_taus = [sigmas[:0]], [np.empty((0, k), dtype=np.intp)]
     for lo in range(0, len(sigmas), per):
         block = sigmas[lo : lo + per]
         # fits[s, t, u]: column t of nA read through sigma s is column u of nB.
-        fits = (nA[block][..., None] == nB[:, None]).all(axis=1) & allowed
+        fits = (nA[block][..., None] == nB[:, None]).all(axis=1) & (fault == 0)
         owner = np.arange(len(block))
         images = np.empty((len(block), 0), dtype=np.intp)
         used = np.zeros((len(block), k), dtype=bool)
         for t in range(k):
-            entry, images, used = _extend(images, used, fits[owner, t], checks[t], cod_dual)
+            entry, images, used = _extend(images, used, fits[owner, t], pairs[t], cod_dual)
             owner = owner[entry]
         out_sigmas.append(block[owner])
         out_taus.append(images)
@@ -304,8 +288,8 @@ def _search(bA: BranchingData, bB: BranchingData, label_cap: int):
     source, cA, cB = bA.source, bA.condensed, bB.condensed
     if abs(jones_index(bA) - jones_index(bB)) > DEFAULT_TOL or len(cA) != len(cB):
         return np.empty((0, len(source)), dtype=np.intp), np.empty((0, len(cA)), dtype=np.intp)
-    sigmas = _sigmas(bA.n, bB.n, _label_constraints(source, source))
-    return _taus(bA.n, bB.n, sigmas, _label_constraints(cA, cB))
+    sigmas = _sigmas(bA.n, bB.n, _relabelling_rule(source, source))
+    return _taus(bA.n, bB.n, sigmas, _relabelling_rule(cA, cB))
 
 
 def _labelled(domain: AnyonSystem, codomain: AnyonSystem, image) -> dict[str, str]:

@@ -21,9 +21,9 @@ def _label_constraints(domain, codomain):
     map to, and the pairs (k, dual(k)) whose images are both known once that
     index is placed, none unless both systems declare duals.  Last, the
     codomain's antiparticle positions."""
-    fault = _relabelling_rule(domain, codomain)
+    fault = _relabelling_rule(domain, codomain)[0]
     allowed = [
-        [j for j in range(len(codomain)) if fault(i, j) is None] for i in range(len(domain))
+        [j for j in range(len(codomain)) if fault[i, j] == 0] for i in range(len(domain))
     ]
     checks = [[] for _ in domain.labels]
     if domain.antiparticles is not None and codomain.antiparticles is not None:

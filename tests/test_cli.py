@@ -7,6 +7,7 @@ import importlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -256,11 +257,17 @@ def test_sweep_of_one_sector_is_one_row_at_any_resolution(capsys, tmp_path):
     b = ac.BranchingData(system, system, [[1]])
     path = tmp_path / "one.json"
     cio.save(b, path)
-    for r in (1000, 10**7):
+    for r in (1000, 10**7, 2**63 - 1):
         start = time.perf_counter()
         code, out, _ = run(capsys, "--grid-resolution", str(r), "sweep", "--branching", str(path))
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (0, sweep_text(b, r))
+    # Counts are int64: a larger resolution is refused before any output.
+    with pytest.raises(SystemExit) as exc:
+        main(["--grid-resolution", str(2**63), "sweep", "--branching", str(path)])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "--grid-resolution must be an integer in [1, 2**63)" in err
 
 
 def test_sweep_memory_stays_flat_in_the_resolution(tmp_path):
@@ -631,6 +638,16 @@ def test_catalog_list_contains_reference_entries(capsys):
     assert code == 0
     ids = {e["id"] for e in json.loads(out)["entries"]}
     assert {"toric-1Y", "repS3-1X", "repS3-1Y", "repS3-lagrangian", "z2-full"} <= ids
+
+
+def test_python_dash_m_runs_main_in_process(capsys, monkeypatch):
+    # `python -m anycond catalog list`, run by runpy in this process so that
+    # the line trace of tests/uncovered.py sees __main__.py.
+    expected = run(capsys, "catalog", "list")
+    monkeypatch.setattr(sys, "argv", ["anycond", "catalog", "list"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("anycond", run_name="__main__")
+    assert (exc.value.code, *capsys.readouterr()) == expected
 
 
 def test_catalog_show(capsys):

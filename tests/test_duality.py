@@ -590,6 +590,19 @@ def test_dimensions_off_by_more_than_the_tolerance_are_not_relabelled():
         ac.verify_duality(b, b, swap)
 
 
+def test_a_nan_dimension_is_never_kept():
+    # nan is within no tolerance of anything, itself included: no map keeps
+    # a's dimension, not even the identity.
+    b = ac.trivial_condensation(_plain("1ab", (1.0, float("nan"), 1.0)))
+    assert ac.find_dualities(b, b) == []
+    identity = _identity_duality(b)
+    message = "^source_perm does not preserve the dimension of 'a'$"
+    with pytest.raises(ValueError, match=message):
+        ac.verify_duality(b, b, identity)
+    with pytest.raises(ValueError, match=message):
+        ac.apply_permutation(identity, ac.SectorState(b.source, [0.2, 0.3, 0.5]))
+
+
 def test_a_changed_twist_is_refused(toric_1y, toric_1z):
     # The map moves the boson Y onto the fermion X and X onto the boson Z;
     # it keeps every dimension, and n_B[a, t] = n_A[sigma(a), t] holds, so
