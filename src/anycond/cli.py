@@ -30,7 +30,7 @@ from .channels import (
     round_trip,
     verify_idempotence,
 )
-from .duality import LABEL_CAP, _labelled, _residuals, _search
+from .duality import LABEL_CAP, _residuals, _search
 from .entropy import order_parameter, order_parameter_rows
 from .search import NonIntegerDimsError, branching_blocks
 from .systems import AnyonSystem, validate_system
@@ -280,16 +280,9 @@ def cmd_duality(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     residuals = _residuals(bA, bB, sigmas, taus, args.trials, args.seed)
-    source, cA, cB = bA.source, bA.condensed, bB.condensed
-    payload = {
-        "count": len(sigmas),
-        "dualities": [
-            {"source_perm": _labelled(source, source, s), "condensed_perm": _labelled(cA, cB, t),
-             "residual": r}
-            for s, t, r in zip(sigmas.tolist(), taus.tolist(), residuals.tolist())
-        ],
-    }
-    _emit_json(payload, args)
+    with _output(args) as out:
+        cio.dump_dualities(bA, bB, sigmas, taus, residuals, out)
+        out.write("\n")
     return 0
 
 

@@ -13,6 +13,8 @@ booleans, non-finite and out-of-range values with a :class:`SchemaError`.
 document, which is validated and compiled again where a command needs it.
 Every reader starts with one shape check.  :func:`dump_blocks` is the fast
 branchings writer; :func:`dumps_branchings`, through dicts, its reference.
+:func:`dump_dualities` is the fast writer of the ``duality`` report; its
+reference, one dict per duality, is kept in the tests.
 """
 
 from __future__ import annotations
@@ -317,6 +319,39 @@ def dump_blocks(blocks: list[Block], fh):
             if first:
                 part[0, 0], first = part[0, 0][1:], False
             fh.write("".join(part.ravel().tolist()))
+    fh.write("\n  ]\n}" if count else "]\n}")
+
+
+def dump_dualities(bA: BranchingData, bB: BranchingData, sigmas: np.ndarray, taus: np.ndarray,
+                   residuals: np.ndarray, fh):
+    """Write the ``duality`` report to ``fh``: ``json.dumps({"count": ...,
+    "dualities": [...]}, indent=2)`` of the dualities ``sigmas``, ``taus``
+    (position arrays, as ``duality._search`` returns them) with their
+    ``residuals``, each map labelled as ``duality._labelled`` labels it, the
+    vacuum first.  No dict per duality: the text of each key and label is
+    made once, and the rows are one gather of them and one join."""
+    count = len(sigmas)
+    fh.write(f'{{\n  "count": {count},\n  "dualities": [')
+    if count:
+        maps = ((bA.source, bA.source, sigmas, ',\n    {\n      "source_perm": {'),
+                (bA.condensed, bB.condensed, taus, '\n      },\n      "condensed_perm": {'))
+        cells = np.empty((count, 2 * (sigmas.shape[1] + taus.shape[1]) + 3), dtype=object)
+        at = 0
+        for domain, codomain, images, head in maps:
+            v = domain.vacuum_index
+            order = [v, *range(v), *range(v + 1, len(domain))]
+            keys = [f'{head if i == v else ","}\n        {json.dumps(domain.labels[i])}: '
+                    for i in order]
+            texts = np.array(list(map(json.dumps, codomain.labels)), dtype=object)
+            cells[:, at : at + 2 * len(order) : 2] = np.array(keys, dtype=object)
+            cells[:, at + 1 : at + 2 * len(order) : 2] = texts[images[:, order]]
+            at += 2 * len(order)
+        cells[:, -3] = '\n      },\n      "residual": '
+        # json.dumps of each float (NaN and Infinity too), in one encoder call.
+        cells[:, -2] = json.dumps(residuals.tolist())[1:-1].split(", ")
+        cells[:, -1] = "\n    }"
+        cells[0, 0] = cells[0, 0][1:]
+        fh.write("".join(cells.ravel().tolist()))
     fh.write("\n  ]\n}" if count else "]\n}")
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import tempfile
 from fractions import Fraction
@@ -13,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import run_clean
+from bruteforce_dualities import admissible_maps
+from test_duality import CATALOG_PAIRS, _plain_condensing, plant
 from test_search import _near_integer_source, integral_sources
 from hypothesis import example, given, settings, strategies as st
 
@@ -21,6 +24,7 @@ from anycond import cli
 from anycond import io as cio
 from anycond.catalog import rep_s3_system, toric_system, zn_system
 from anycond.cli import main
+from anycond.duality import LABEL_CAP, _labelled, _residuals, _search
 
 
 def test_round_trip_catalog_branchings(catalog_entry, tmp_path):
@@ -841,6 +845,9 @@ def _json_commands(tmp_path):
     broken_path.write_text(json.dumps(broken))
     system_path = tmp_path / "system.json"
     cio.save(rep_s3_system(), system_path)
+    reordered_path = tmp_path / "reordered.json"
+    cio.save(_reordered(ac.entry("z6-trivial").branching, [2, 3, 4, 5, 0, 1], [4, 5, 0, 1, 2, 3]),
+             reordered_path)
     return [
         ["validate", "--catalog", "toric-1Y", "--catalog", "repS3-1Y", str(path), str(system_path)],
         ["validate", str(broken_path)],
@@ -849,6 +856,8 @@ def _json_commands(tmp_path):
         ["--bits", "entropy", "--branching", str(path), "--state", ",".join(["1/256"] * 256)],
         ["duality", "--catalog-a", "toric-1Y", "--catalog-b", "toric-1Z"],
         ["duality", "--catalog-a", "z6-full", "--catalog-b", "z6-full", "--trials", "3"],
+        ["duality", "--catalog-a", "z6-full", "--catalog-b", "z6-trivial"],  # no duality
+        ["duality", "--a", str(reordered_path), "--b", str(reordered_path)],  # vacuum at 4 and 2
         ["catalog", "list"],
         ["catalog", "show", "repS3-lagrangian"],
         ["entropy", "--branching", str(broken_path), "--state", "1,0,0,0"],
@@ -860,12 +869,126 @@ def test_every_json_report_is_the_bytes_of_json_dumps_indent(tmp_path, monkeypat
         with cli._output(args) as out:
             out.write(json.dumps(payload, indent=2) + "\n")
 
+    def stdlib_dump_dualities(bA, bB, sigmas, taus, residuals, fh):
+        fh.write(_duality_report(bA, bB, sigmas, taus, residuals))
+
     for k, argv in enumerate(_json_commands(tmp_path)):
         changed, stdlib = tmp_path / f"changed{k}.json", tmp_path / f"stdlib{k}.json"
         code = main(["--output", str(changed), *argv])
         with monkeypatch.context() as patch:
             patch.setattr(cli, "_emit_json", stdlib_emit_json)
+            patch.setattr(cio, "dump_dualities", stdlib_dump_dualities)
             assert main(["--output", str(stdlib), *argv]) == code, argv
         assert changed.read_bytes() == stdlib.read_bytes(), argv
     assert "branching data is not condensable" in changed.read_text()
     assert capsys.readouterr().out == ""
+
+
+# --- the duality report against json.dumps(indent=2) --------------------------
+
+
+def _duality_report(bA, bB, sigmas, taus, residuals):
+    """``json.dumps(payload, indent=2)`` of the ``duality`` report built
+    through one dict per duality, each map labelled by ``_labelled``: the
+    plain reference for ``io.dump_dualities``."""
+    source, cA, cB = bA.source, bA.condensed, bB.condensed
+    payload = {
+        "count": len(sigmas),
+        "dualities": [
+            {"source_perm": _labelled(source, source, s), "condensed_perm": _labelled(cA, cB, t),
+             "residual": r}
+            for s, t, r in zip(sigmas.tolist(), taus.tolist(), residuals.tolist())
+        ],
+    }
+    return json.dumps(payload, indent=2)
+
+
+def _assert_dump_dualities_like_json(bA, bB, sigmas, taus, residuals):
+    # Line by line: pytest explains two unequal strings by a line diff, which
+    # takes minutes on a report of thousands of lines; returns the text.
+    out = io.StringIO()
+    cio.dump_dualities(bA, bB, sigmas, taus, residuals, out)
+    want = _duality_report(bA, bB, sigmas, taus, residuals)
+    assert out.getvalue().split("\n") == want.split("\n")
+    return out.getvalue()
+
+
+def _assert_dualities_like_json(bA, bB, trials=3, label_cap=LABEL_CAP):
+    # The writer on the search's own dualities; returns the parsed report.
+    sigmas, taus = _search(bA, bB, label_cap)
+    residuals = _residuals(bA, bB, sigmas, taus, trials, 0)
+    return json.loads(_assert_dump_dualities_like_json(bA, bB, sigmas, taus, residuals))
+
+
+def _reordered(b, rows, cols):
+    """``b`` with its source sectors listed in the order ``rows`` and its
+    condensed sectors in the order ``cols``."""
+
+    def system(s, order):
+        return ac.AnyonSystem(tuple(s.labels[i] for i in order), tuple(s.dims[i] for i in order),
+                              s.vacuum, s.dual, s.twist)
+
+    return ac.BranchingData(system(b.source, rows), system(b.condensed, cols),
+                            b.n[np.ix_(rows, cols)])
+
+
+@pytest.mark.parametrize("id_a,id_b", CATALOG_PAIRS)
+def test_dump_dualities_matches_json_on_catalog_pairs(id_a, id_b):
+    bA, bB = ac.entry(id_a).branching, ac.entry(id_b).branching
+    report = _assert_dualities_like_json(bA, bB)
+    assert report["count"] == len(ac.find_dualities(bA, bB))
+
+
+@pytest.mark.parametrize("name, count", [("plain6-identity", 120), ("z8-trivial", 48),
+                                         ("z7-trivial", 48)])
+@pytest.mark.parametrize("seed", [1, 7])
+def test_dump_dualities_matches_json_on_the_bench_shapes(name, count, seed):
+    # A relabelled by a drawn admissible (sigma, tau), at the bench's 100 trials.
+    rng = random.Random(seed)
+    if name == "plain6-identity":
+        bA = ac.trivial_condensation(_plain(6, {0})[0])
+    else:
+        bA = ac.entry(name).branching
+    sigma = rng.choice(admissible_maps(bA.source, bA.source))
+    tau = rng.choice(admissible_maps(bA.condensed, bA.condensed))
+    assert _assert_dualities_like_json(bA, plant(bA, sigma, tau), trials=100)["count"] == count
+
+
+@st.composite
+def awkward_dualities(draw):
+    """A branching of an awkward source with its sectors in a drawn order,
+    so the vacuum need not come first, and that branching relabelled by a
+    drawn admissible (sigma, tau), so the pair has at least one duality."""
+    source, algebra = draw(awkward_sources())
+    found = ac.enumerate_branchings(source, algebra, len(source), 2)
+    b = draw(st.sampled_from([ac.trivial_condensation(source), *found]))
+    rows = draw(st.permutations(range(len(b.source))))
+    b = _reordered(b, rows, draw(st.permutations(range(len(b.condensed)))))
+    sigma = draw(st.sampled_from(admissible_maps(b.source, b.source)))
+    tau = draw(st.sampled_from(admissible_maps(b.condensed, b.condensed)))
+    return b, plant(b, sigma, tau)
+
+
+@given(pair=awkward_dualities())
+@settings(max_examples=60, deadline=None)
+def test_dump_dualities_matches_json_on_awkward_labels(pair):
+    bA, bB = pair
+    assert _assert_dualities_like_json(bA, bB)["count"] >= 1
+
+
+def test_dump_dualities_writes_each_residual_as_json_dumps_does():
+    b = ac.entry("z8-trivial").branching  # 48 dualities: each value below, several times
+    sigmas, taus = _search(b, b, LABEL_CAP)
+    residuals = np.resize([0.0, -0.0, 5e-324, 1e-300, 2.5e-13, 1 / 3, 1e16, math.nan, -math.inf],
+                          len(sigmas))
+    _assert_dump_dualities_like_json(b, b, sigmas, taus, residuals)
+
+
+def test_dump_dualities_of_nothing():
+    bA, bB = ac.entry("z6-full").branching, ac.entry("z6-trivial").branching
+    assert _assert_dualities_like_json(bA, bB) == {"count": 0, "dualities": []}
+
+
+def test_dump_dualities_matches_json_on_twelve_plain_labels():
+    b = _plain_condensing(12, 2)
+    assert _assert_dualities_like_json(b, b, trials=1, label_cap=12)["count"] == 3840
